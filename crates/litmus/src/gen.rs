@@ -19,9 +19,9 @@ use sa_isa::rng::Xoshiro256;
 use crate::ast::{LOp, LitmusTest, Var};
 
 /// Knobs for the program generator. The defaults keep the state space of
-/// the exhaustive oracle small (the explorer memoizes full machine
-/// states, so total operation count is the budget that matters) while
-/// still covering 2–8 threads.
+/// the exhaustive oracle small (a state is every thread's pc and drained
+/// store count plus memory and the loaded values, so total operation
+/// count is the budget that matters) while still covering 2–8 threads.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenConfig {
     /// Maximum thread count (clamped to 2..=8; the draw is biased toward

@@ -72,7 +72,7 @@ impl Oracle {
         model: ConsistencyModel,
         outcome: &Outcome,
     ) -> bool {
-        self.allowed_for(test, model).iter().any(|o| o == outcome)
+        self.allowed_for(test, model).contains(outcome)
     }
 
     /// Number of distinct `(program, policy)` pairs explored so far.

@@ -76,6 +76,11 @@ impl OutcomeSet {
         self.set.is_empty()
     }
 
+    /// `true` when `o` is in the set (an O(log n) lookup).
+    pub fn contains(&self, o: &Outcome) -> bool {
+        self.set.contains(o)
+    }
+
     /// Iterates in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = &Outcome> {
         self.set.iter()
@@ -142,6 +147,8 @@ mod tests {
         assert!(!a.insert(outcome(1, 0)), "duplicates collapse");
         a.insert(outcome(1, 1));
         let b: OutcomeSet = vec![outcome(1, 1)].into_iter().collect();
+        assert!(b.contains(&outcome(1, 1)));
+        assert!(!b.contains(&outcome(1, 0)));
         assert!(b.is_subset(&a));
         assert!(!a.is_subset(&b));
         let diff = a.difference(&b);

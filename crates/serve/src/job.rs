@@ -20,6 +20,12 @@ use sa_litmus::{parse_threads, suite, LitmusTest};
 use sa_metrics::JsonValue;
 use sa_sim::{parse_topology, EngineMode, Topology};
 
+/// Largest submitted litmus program, in operations after RMW expansion.
+/// The simulator gives each of a thread's loads its own register, so
+/// this keeps every thread within [`sa_isa::NUM_REGS`]; it is also far
+/// inside the explorer's one-byte key cells.
+const MAX_PROGRAM_OPS: usize = sa_isa::NUM_REGS;
+
 /// Parsed litmus-job parameters.
 #[derive(Debug, Clone)]
 pub struct LitmusJob {
@@ -114,12 +120,19 @@ impl JobSpec {
             if threads.len() > 8 {
                 return Err(format!("at most 8 threads, got {}", threads.len()));
             }
+            let test = LitmusTest::new("submitted", threads);
+            let ops = test.desugared().total_ops();
+            if ops > MAX_PROGRAM_OPS {
+                return Err(format!(
+                    "at most {MAX_PROGRAM_OPS} operations after RMW expansion, got {ops}"
+                ));
+            }
             let name = v
                 .get("name")
                 .and_then(|n| n.as_str())
                 .unwrap_or("submitted")
                 .to_string();
-            (name, LitmusTest::new("submitted", threads))
+            (name, test)
         };
         let models = match v.get("models").and_then(|m| m.as_arr()) {
             None => ConsistencyModel::ALL.to_vec(),
@@ -598,6 +611,24 @@ mod tests {
             let err = JobSpec::parse(body).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
+    }
+
+    #[test]
+    fn bounds_program_size_after_rmw_expansion() {
+        let spec = |threads: &[String]| {
+            let quoted: Vec<String> = threads.iter().map(|t| format!("{t:?}")).collect();
+            JobSpec::parse(&format!(r#"{{"threads":[{}]}}"#, quoted.join(",")))
+        };
+        let ops = |op: &str, n: usize| vec![op; n].join("; ");
+        // 64 ops across two threads pass; one more load is refused before
+        // it could reach the simulator's 64-register lowering.
+        assert!(spec(&[ops("ld x", 32), ops("ld y", 32)]).is_ok());
+        let err = spec(&[ops("ld x", 65)]).unwrap_err();
+        assert!(err.contains("at most 64 operations"), "{err}");
+        // 16 RMWs expand to 64 ops; 17 expand to 68.
+        assert!(spec(&[ops("rmw x,1", 16)]).is_ok());
+        let err = spec(&[ops("rmw x,1", 17)]).unwrap_err();
+        assert!(err.contains("got 68"), "{err}");
     }
 
     #[test]

@@ -803,7 +803,7 @@ fn run_litmus(shared: &Shared, id: u64, l: &LitmusJob) -> (String, bool) {
                 row.sims += 1;
                 let o = run_on_sim(&l.test, model, pads, shared.cfg.mutate);
                 observed.push(o.to_string());
-                if allowed.iter().any(|a| *a == o) {
+                if allowed.contains(&o) {
                     continue;
                 }
                 // First forbidden outcome per model: record it, triage
@@ -1293,6 +1293,17 @@ mod tests {
             "{metrics}"
         );
         assert!(metrics.contains("sa_serve_jobs_completed_total 1"));
+
+        // A program past the size cap is refused at submission.
+        let too_big = vec!["ld x"; 65].join("; ");
+        let (status, body) = http(
+            port,
+            "POST",
+            "/jobs",
+            &format!(r#"{{"threads":["{too_big}"]}}"#),
+        );
+        assert!(status.contains("400"), "{status}: {body}");
+        assert!(body.contains("at most 64 operations"), "{body}");
 
         let (_, unknown) = http(port, "GET", "/jobs/999999", "");
         assert!(unknown.contains("unknown"));

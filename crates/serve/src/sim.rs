@@ -93,10 +93,7 @@ mod tests {
                 let pads = vec![0; ct.test.threads.len()];
                 let o = run_on_sim(&ct.test, model, &pads, None);
                 assert!(
-                    oracle
-                        .allowed(&ct.test, policy_for(model))
-                        .iter()
-                        .any(|a| *a == o),
+                    oracle.allowed(&ct.test, policy_for(model)).contains(&o),
                     "{} under {model}: {o}",
                     ct.test.name
                 );

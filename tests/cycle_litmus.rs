@@ -68,7 +68,7 @@ fn cycle_level_outcomes_are_model_allowed() {
             for pads in pad_patterns(ct.test.threads.len()) {
                 let o = run_cycle_level(&ct.test, model, &pads);
                 assert!(
-                    allowed.iter().any(|a| *a == o),
+                    allowed.contains(&o),
                     "{} under {model} with pads {pads:?} produced {o}, which the \
                      memory model forbids",
                     ct.test.name
@@ -139,7 +139,7 @@ mod fuzz {
                 };
                 let o = run_cycle_level(&t, model, &[pad0, pad1]);
                 assert!(
-                    allowed.iter().any(|a| *a == o),
+                    allowed.contains(&o),
                     "{model} with pads ({pad0},{pad1}) produced {o}"
                 );
             }
