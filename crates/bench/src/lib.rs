@@ -68,8 +68,8 @@ pub fn run_workload_opts(w: &WorkloadSpec, model: ConsistencyModel, opts: &Opts)
         .unwrap_or_else(|e| panic!("{} under {model}: {e}", w.name))
 }
 
-/// Like [`run_workload`], but on the cycle-exact lockstep reference
-/// engine (`cycle_skip` off). Same deterministic cycles by the engine
+/// Like [`run_workload`], but on [`EngineMode::Lockstep`], which ticks
+/// every core every cycle. Same deterministic cycles by the engine
 /// equivalence invariant; CI diffs a lockstep sweep against the default
 /// event-driven one on every push to pin that invariant on the litmus
 /// cells.

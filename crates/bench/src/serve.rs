@@ -19,9 +19,10 @@
 //! requests are served one at a time, which is plenty for a scrape
 //! interval measured in seconds.
 
-use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
+
+use sa_serve::http::{read_request, respond};
 
 /// Shared snapshot the acceptor thread reads and the bench loop writes.
 #[derive(Default)]
@@ -80,32 +81,13 @@ impl MetricsServer {
     }
 }
 
-/// Reads the request line, routes, writes one response, closes.
+/// Reads one request, routes it, writes one response, closes.
 fn handle(mut stream: TcpStream, state: &Mutex<ServeState>) -> std::io::Result<()> {
-    // Clients may deliver the request head across several writes; keep
-    // reading until the header terminator (or a size cap) so we don't
-    // respond to — and close on — a half-sent request.
-    let mut head_buf: Vec<u8> = Vec::new();
-    let mut buf = [0u8; 1024];
-    loop {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        head_buf.extend_from_slice(&buf[..n]);
-        if head_buf.windows(4).any(|w| w == b"\r\n\r\n") || head_buf.len() > 8192 {
-            break;
-        }
-    }
-    let head = String::from_utf8_lossy(&head_buf);
-    let path = head
-        .lines()
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .unwrap_or("/")
-        .to_string();
-
-    let (status, ctype, body) = match path.as_str() {
+    let req = match read_request(&mut stream)? {
+        Ok(req) => req,
+        Err(bad) => return respond(&mut stream, bad.status(), "text/plain", "bad request\n"),
+    };
+    let (status, ctype, body) = match req.path.as_str() {
         "/metrics" => {
             let s = state.lock().expect("serve state");
             (
@@ -146,18 +128,13 @@ fn handle(mut stream: TcpStream, state: &Mutex<ServeState>) -> std::io::Result<(
         ),
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     };
-
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
+    respond(&mut stream, status, ctype, &body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
 
     fn get(port: u16, path: &str) -> String {
         let mut s = TcpStream::connect(("127.0.0.1", port)).expect("connect");

@@ -9,8 +9,8 @@ use sa_ooo::{CoreConfig, CoreConfigError};
 /// and `tests/parallel_equivalence`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Step every core every cycle — the reference engine, and the only
-    /// one that supports live tracing.
+    /// Tick every unfinished core every cycle, never skipping one (the
+    /// mode every traced serial run takes).
     Lockstep,
     /// Jump over cycles in which no core can make progress.
     EventDriven,
@@ -25,7 +25,7 @@ pub enum EngineMode {
 }
 
 impl Default for EngineMode {
-    /// The event-driven engine: the historical `cycle_skip: true`.
+    /// The event-driven engine.
     fn default() -> EngineMode {
         EngineMode::EventDriven
     }
@@ -250,18 +250,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables or disables the event-driven engine's cycle skipping.
-    #[deprecated(note = "use `engine(EngineMode::...)`; `true` maps to \
-                         EventDriven and `false` to Lockstep")]
-    pub fn cycle_skip(mut self, on: bool) -> SimConfigBuilder {
-        self.cfg.engine = if on {
-            EngineMode::EventDriven
-        } else {
-            EngineMode::Lockstep
-        };
-        self
-    }
-
     /// Injects a deliberately broken pipeline variant (fuzzer self-test).
     pub fn injected_bug(mut self, bug: Option<sa_ooo::InjectedBug>) -> SimConfigBuilder {
         self.cfg.core.injected_bug = bug;
@@ -308,18 +296,6 @@ impl SimConfig {
     /// Sets the simulation engine.
     pub fn with_engine(mut self, engine: EngineMode) -> SimConfig {
         self.engine = engine;
-        self
-    }
-
-    /// Enables or disables the event-driven engine's cycle skipping.
-    #[deprecated(note = "use `with_engine(EngineMode::...)`; `true` maps \
-                         to EventDriven and `false` to Lockstep")]
-    pub fn with_cycle_skip(mut self, on: bool) -> SimConfig {
-        self.engine = if on {
-            EngineMode::EventDriven
-        } else {
-            EngineMode::Lockstep
-        };
         self
     }
 
@@ -494,15 +470,6 @@ mod tests {
         assert_eq!(cfg.mem.topology, Topology::Mesh2D { width: 8 });
         assert_eq!(cfg.engine, EngineMode::Parallel { threads: 4 });
         assert!(cfg.render_table3().contains("2D mesh, 8 columns"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn cycle_skip_shim_maps_onto_engine_modes() {
-        let on = SimConfig::builder().cycle_skip(true).build().unwrap();
-        assert_eq!(on.engine, EngineMode::EventDriven);
-        let off = SimConfig::default().with_cycle_skip(false);
-        assert_eq!(off.engine, EngineMode::Lockstep);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use sa_coherence::{
     bank_shard, core_shard, shard_lookahead, MemReqId, MemStats, MemorySystem, NocStats, Notice,
     RemoteEvent,
 };
-use sa_isa::{Addr, CoreId, Cycle, Line, StripedValueMemory, Trace, Value, ValueMemory};
+use sa_isa::{
+    Addr, CoreId, Cycle, Line, StripedValueMemory, Trace, Value, ValueImage, ValueMemory,
+};
 use sa_metrics::{SampleInput, Sampler};
 use sa_ooo::{Core, LoadStorePort};
 use sa_profile::{NullProfiler, Profiler};
@@ -76,6 +78,9 @@ pub enum RunError {
         /// Cycle at which progress stopped being observed.
         since: Cycle,
     },
+    /// A sharded run stopped early and `run` was called again; only a
+    /// serial run can be resumed.
+    NotResumable,
 }
 
 impl std::fmt::Display for RunError {
@@ -89,6 +94,9 @@ impl std::fmt::Display for RunError {
                     f,
                     "no instruction retired since cycle {since} (model deadlock)"
                 )
+            }
+            RunError::NotResumable => {
+                write!(f, "a sharded run that stopped early cannot be resumed")
             }
         }
     }
@@ -116,8 +124,8 @@ pub struct Multicore<T: Tracer = NullTracer, P: Profiler = NullProfiler> {
     cycle: Cycle,
     sampler: Sampler,
     tracer: T,
-    /// Reusable buffer the per-cycle loop drains notices into, so the
-    /// hot path never allocates.
+    /// Reusable buffer [`Multicore::step`] drains notices into, so it
+    /// never allocates.
     notice_scratch: Vec<Notice>,
     /// Global memory-system statistics assembled from shard partials by
     /// a parallel run; `None` until one completes. `self.mem` is not
@@ -288,190 +296,102 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
 
     /// Gathers one instantaneous machine snapshot into the sampler.
     fn sample(&mut self) {
-        let mut input = SampleInput {
-            n_cores: self.cores.len() as u64,
-            outstanding_misses: self.mem.outstanding_misses() as u64,
-            ..SampleInput::default()
-        };
-        for c in &self.cores {
-            let (rob, lq, sq) = c.occupancy();
-            input.rob += rob as u64;
-            input.lq += lq as u64;
-            input.sq += sq as u64;
-            input.sb += c.sb_depth() as u64;
-            let s = c.stats();
-            input.retired += s.retired_instrs;
-            input.gate_closed_cycles += s.gate_closed_cycles;
-            input.squashes += s.squashes.iter().sum::<u64>();
-        }
-        self.sampler.record(self.cycle, input);
+        self.sampler
+            .record(self.cycle, partial_input(&self.cores, &self.mem));
     }
 
     /// Runs until every core finishes or `max_cycles` elapse.
     ///
-    /// Dispatches on [`SimConfig::engine`]. A real tracer forces the
-    /// lockstep engine on the serial paths (tracers want the per-cycle
-    /// event stream); the parallel engine collects per-shard keyed
-    /// streams and merges them back into exactly the lockstep emission
-    /// order. All engines are cycle-exact with one another: identical
-    /// final cycle counts, statistics and memory images (enforced by
-    /// `tests/engine_equivalence` and `tests/parallel_equivalence`).
+    /// Dispatches on [`SimConfig::engine`]. Every engine advances time
+    /// with the same per-cycle loop, `run_span`. `Parallel` with two or
+    /// more threads partitions the machine into shards, each running
+    /// that loop between epoch barriers; every other run is one slice
+    /// over the whole machine with no barriers. `Lockstep` and traced
+    /// runs tick every unfinished core every cycle (tracers want the
+    /// per-cycle event stream); the others let stalled cores sleep and
+    /// jump over cycles in which nothing can happen. A traced sharded
+    /// run collects per-shard keyed streams and merges them back into
+    /// exactly the serial emission order. All engines are cycle-exact
+    /// with one another and with the [`Multicore::step`] reference:
+    /// identical final cycle counts, statistics and memory images
+    /// (enforced by `tests/engine_equivalence` and
+    /// `tests/parallel_equivalence`).
+    ///
+    /// A serial run that stopped early can be resumed by calling `run`
+    /// again; a sharded one cannot.
     ///
     /// # Errors
     ///
     /// [`RunError::CycleLimit`] when the budget runs out;
-    /// [`RunError::NoProgress`] when the machine wedges (a model bug).
+    /// [`RunError::NoProgress`] when the machine wedges (a model bug);
+    /// [`RunError::NotResumable`] when a previous sharded run stopped
+    /// early.
     pub fn run(&mut self, max_cycles: Cycle) -> Result<Report, RunError> {
-        match self.cfg.engine {
-            EngineMode::Parallel { threads } => self.run_parallel(threads, max_cycles),
-            _ if T::ENABLED => self.run_lockstep(max_cycles),
-            EngineMode::Lockstep => self.run_lockstep(max_cycles),
-            EngineMode::EventDriven => self.run_event(max_cycles),
-        }
-    }
-
-    /// The reference engine: one [`Multicore::step`] per cycle.
-    fn run_lockstep(&mut self, max_cycles: Cycle) -> Result<Report, RunError> {
-        let _engine = P::span("lockstep");
-        let mut last_progress = self.cycle;
-        while !self.finished() {
-            if self.cycle >= max_cycles {
-                return Err(RunError::CycleLimit { limit: max_cycles });
+        if let EngineMode::Parallel { threads } = self.cfg.engine {
+            // The shards advanced their own memory-system partitions, so
+            // after an early stop `self.mem` lags behind the cores.
+            if self.parallel_scope.is_some() && !self.finished() {
+                return Err(RunError::NotResumable);
             }
-            if self.step() > 0 {
-                last_progress = self.cycle;
-            } else if self.cycle - last_progress > WATCHDOG {
-                return Err(RunError::NoProgress {
-                    since: last_progress,
-                });
-            }
-        }
-        Ok(self.report())
-    }
-
-    /// The event-driven engine.
-    ///
-    /// A core that ticks without making progress is put to sleep: its
-    /// remaining stall is a pure replay (the same CPI category, the same
-    /// occupancies) until either a notice arrives from the memory system
-    /// or its own next timed wakeup ([`Core::next_timed_wakeup`]) comes
-    /// due, so those cycles are applied in bulk via
-    /// [`Core::apply_idle_cycles`] instead of being simulated. When every
-    /// core is asleep the engine jumps straight to the earliest cycle
-    /// anything can happen: the memory system's next queued event, the
-    /// earliest core wakeup, the next sampler boundary (samples must land
-    /// exactly where lockstep puts them), the watchdog deadline, or the
-    /// cycle budget — whichever comes first.
-    fn run_event(&mut self, max_cycles: Cycle) -> Result<Report, RunError> {
-        let _engine = P::span("event");
-        let n = self.cores.len();
-        // `active[i]`: last tick made progress, so tick again next cycle.
-        // `wake[i]`: earliest self-scheduled wakeup of a sleeping core
-        // (`None` = only a notice can wake it).
-        let mut active = vec![true; n];
-        let mut wake: Vec<Option<Cycle>> = vec![None; n];
-        let mut last_progress = self.cycle;
-        while !self.finished() {
-            if self.cycle >= max_cycles {
-                return Err(RunError::CycleLimit { limit: max_cycles });
-            }
+            let threads = threads.clamp(1, self.cores.len().max(1));
+            let lookahead = shard_lookahead(&self.cfg.mem, threads);
+            if threads >= 2
+                && lookahead >= 1
+                && self.cycle == 0
+                && max_cycles > 0
+                && !self.finished()
             {
-                let _p = P::span("memsys");
-                self.mem
-                    .advance_profiled::<T, P>(self.cycle, &mut self.tracer);
-            }
-            let mut retired = 0u64;
-            let mut any_active = false;
-            for i in 0..n {
-                let id = CoreId::from_index(i);
-                self.notice_scratch.clear();
-                if self.mem.has_notices(id) {
-                    self.mem.take_notices_into(id, &mut self.notice_scratch);
-                }
-                let due = active[i]
-                    || !self.notice_scratch.is_empty()
-                    || wake[i].is_some_and(|w| w <= self.cycle);
-                if !due {
-                    if !self.cores[i].finished() {
-                        self.cores[i].apply_idle_cycles(1);
-                    }
-                    continue;
-                }
-                if self.cores[i].finished() && self.notice_scratch.is_empty() {
-                    active[i] = false;
-                    wake[i] = None;
-                    continue;
-                }
-                let mut port = PortView {
-                    mem: &mut self.mem,
-                    core: id,
-                };
-                let _p = P::span("tick");
-                let r = self.cores[i].tick_profiled::<_, _, T, P>(
-                    self.cycle,
-                    &mut port,
-                    &mut self.valmem,
-                    &self.notice_scratch,
-                    &mut self.tracer,
-                );
-                drop(_p);
-                retired += r.retired;
-                if r.progress {
-                    active[i] = true;
-                    any_active = true;
+                return if T::ENABLED {
+                    self.run_parallel::<KeyedCollector>(threads, max_cycles, lookahead)
                 } else {
-                    active[i] = false;
-                    wake[i] = self.cores[i].next_timed_wakeup(self.cycle);
-                }
-            }
-            self.cycle += 1;
-            if self.cfg.sample_interval != 0 && self.sampler.due(self.cycle) {
-                self.sample();
-            }
-            if retired > 0 {
-                last_progress = self.cycle;
-            } else if self.cycle - last_progress > WATCHDOG {
-                return Err(RunError::NoProgress {
-                    since: last_progress,
-                });
-            }
-            if any_active || self.finished() {
-                continue;
-            }
-            // Everything is asleep: jump to the next interesting cycle.
-            let _p = P::span("jump");
-            let mut next = Cycle::MAX;
-            if let Some(c) = self.mem.next_event_cycle() {
-                next = next.min(c);
-            }
-            for w in wake.iter().flatten() {
-                next = next.min(*w);
-            }
-            next = next.min(last_progress + WATCHDOG + 1).min(max_cycles);
-            if self.cfg.sample_interval != 0 {
-                let interval = self.cfg.sample_interval;
-                next = next.min((self.cycle / interval + 1) * interval);
-            }
-            if next <= self.cycle {
-                continue;
-            }
-            let skipped = next - self.cycle;
-            for c in &mut self.cores {
-                if !c.finished() {
-                    c.apply_idle_cycles(skipped);
-                }
-            }
-            self.cycle = next;
-            if self.cfg.sample_interval != 0 && self.sampler.due(self.cycle) {
-                self.sample();
-            }
-            if self.cycle - last_progress > WATCHDOG {
-                return Err(RunError::NoProgress {
-                    since: last_progress,
-                });
+                    self.run_parallel::<NullTracer>(threads, max_cycles, lookahead)
+                };
             }
         }
-        Ok(self.report())
+        self.run_serial(max_cycles)
+    }
+
+    /// Runs the whole machine as one slice of `run_span`, in chunks that
+    /// end at the cycle budget or the watchdog deadline, whichever comes
+    /// first. The checks between chunks fire at exactly the cycle where
+    /// a per-cycle check would.
+    fn run_serial(&mut self, max_cycles: Cycle) -> Result<Report, RunError> {
+        let lockstep = T::ENABLED || self.cfg.engine == EngineMode::Lockstep;
+        let _engine = P::span(if lockstep { "lockstep" } else { "event" });
+        let mut st = SpanState::new(
+            self.cores.len(),
+            self.cycle,
+            lockstep,
+            self.cfg.sample_interval,
+        );
+        let outcome = loop {
+            if self.finished() {
+                break Ok(());
+            }
+            if st.cur >= max_cycles {
+                break Err(RunError::CycleLimit { limit: max_cycles });
+            }
+            let deadline = st.last_retire + WATCHDOG;
+            run_span::<T, P, _>(
+                &mut st,
+                &mut self.cores,
+                &mut self.mem,
+                &mut self.tracer,
+                &mut self.valmem,
+                deadline.min(max_cycles - 1),
+                true,
+            );
+            for (c, input) in st.samples.drain(..) {
+                self.sampler.record(c, input);
+            }
+            if st.cur - st.last_retire > WATCHDOG {
+                break Err(RunError::NoProgress {
+                    since: st.last_retire,
+                });
+            }
+        };
+        self.cycle = st.cur;
+        outcome.map(|()| self.report())
     }
 
     /// The parallel engine: conservative-lookahead PDES.
@@ -490,11 +410,11 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
     /// a mesh the core-affine bank ownership of
     /// [`sa_coherence::bank_shard`] pushes the shortest cross-shard
     /// channel several hops out, so the epochs — and the stretch of
-    /// cache-hot, barrier-free simulation per shard — grow with it. Within an epoch each shard runs the
-    /// serial event engine verbatim over its local cores (or lockstep when
-    /// a tracer is attached), so the interleaving every core observes is
-    /// *identical* to the serial engines' — the parallel run is bit-exact,
-    /// not approximately equal.
+    /// cache-hot, barrier-free simulation per shard — grow with it.
+    /// Within an epoch each shard runs `run_span`, the loop a serial run
+    /// uses, over its local cores, so the interleaving every core
+    /// observes is *identical* to the serial engines' — the parallel run
+    /// is bit-exact, not approximately equal.
     ///
     /// Termination: each shard publishes its local finish cycle at the
     /// barrier; once every shard has finished, the global finish cycle is
@@ -503,38 +423,14 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
     /// it would be due strictly after the finish cycle and is dropped, so
     /// no further epoch is needed.
     ///
-    /// Degenerate configurations (`threads < 2`, a resumed run, or a
-    /// zero lookahead) fall back to the serial engines, which are
-    /// bit-exact by the same invariant.
-    fn run_parallel(&mut self, threads: usize, max_cycles: Cycle) -> Result<Report, RunError> {
-        let threads = threads.clamp(1, self.cores.len().max(1));
-        let lookahead = shard_lookahead(&self.cfg.mem, threads);
-        if self.finished() {
-            return Ok(self.report());
-        }
-        if max_cycles == 0 {
-            return Err(RunError::CycleLimit { limit: 0 });
-        }
-        if threads < 2 || lookahead < 1 || self.cycle != 0 {
-            return if T::ENABLED {
-                self.run_lockstep(max_cycles)
-            } else {
-                self.run_event(max_cycles)
-            };
-        }
-        if T::ENABLED {
-            self.run_parallel_impl::<KeyedCollector>(threads, max_cycles, lookahead)
-        } else {
-            self.run_parallel_impl::<NullTracer>(threads, max_cycles, lookahead)
-        }
-    }
-
-    /// Body of the parallel engine, monomorphized over the shard-local
-    /// collector `C`: [`NullTracer`] for untraced runs (shards use the
-    /// event-driven loop), [`KeyedCollector`] when a real tracer is
-    /// attached (shards run lockstep within epochs and record keyed
-    /// events for the deterministic merge).
-    fn run_parallel_impl<C: ShardCollector>(
+    /// The body is monomorphized over the shard-local collector `C`:
+    /// [`NullTracer`] for untraced runs (shards let stalled cores sleep),
+    /// [`KeyedCollector`] when a real tracer is attached (shards run
+    /// lockstep and record keyed events for the deterministic merge).
+    /// [`Multicore::run`] sends degenerate configurations (`threads < 2`,
+    /// a zero lookahead, or a machine that has already been stepped) to
+    /// the serial loop, which is bit-exact by the same invariant.
+    fn run_parallel<C: ShardCollector>(
         &mut self,
         threads: usize,
         max_cycles: Cycle,
@@ -552,30 +448,23 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
             .map(|b| bank_shard(b, &self.cfg.mem, threads))
             .collect();
 
-        // Partition the cores (with their global indices) across shards.
+        // Partition the cores across shards.
         let mut pool: Vec<Option<Core>> = std::mem::take(&mut self.cores)
             .into_iter()
             .map(Some)
             .collect();
         let shards: Vec<EngineShard<C>> = (0..threads)
             .map(|s| {
-                let cores: Vec<(usize, Core)> = (0..n_cores)
+                let cores: Vec<Core> = (0..n_cores)
                     .filter(|&i| core_shard(i, n_cores, threads) == s)
-                    .map(|i| (i, pool[i].take().expect("each core owned by one shard")))
+                    .map(|i| pool[i].take().expect("each core owned by one shard"))
                     .collect();
-                let k = cores.len();
                 EngineShard {
                     id: s,
+                    span: SpanState::new(cores.len(), 0, C::ENABLED, interval),
                     cores,
                     mem: MemorySystem::new_shard(self.cfg.mem.clone(), s, threads),
                     collector: C::default(),
-                    cur: 0,
-                    active: vec![true; k],
-                    wake: vec![None; k],
-                    scratch: Vec::new(),
-                    finished_at: None,
-                    samples: Vec::new(),
-                    last_retire: 0,
                     limit_hit: false,
                     error: None,
                     scope: ShardScope {
@@ -618,7 +507,6 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
                             st,
                             sync,
                             striped,
-                            interval,
                             max_cycles,
                             lookahead,
                             (n_cores, threads),
@@ -653,16 +541,17 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
         };
         let mut noc = NocStats::default();
         for st in results {
-            for (gi, core) in st.cores {
-                back[gi] = Some(core);
+            for core in st.cores {
+                let i = core.id().index();
+                back[i] = Some(core);
             }
-            final_cycle = final_cycle.max(st.cur);
+            final_cycle = final_cycle.max(st.span.cur);
             if st.error.is_some() {
                 error = st.error;
             }
             partials.push(st.mem.stats());
             noc.merge(&st.mem.noc_stats());
-            for (c, input) in st.samples {
+            for (c, input) in st.span.samples {
                 add_sample(sample_acc.entry(c).or_default(), &input);
             }
             entries.extend(st.collector.into_entries());
@@ -734,6 +623,207 @@ impl<T: Tracer, P: Profiler> Multicore<T, P> {
             forensics: None,
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The per-cycle loop
+// ---------------------------------------------------------------------
+
+/// The state [`run_span`] keeps across calls over one slice of the
+/// machine: the whole machine for a serial run, one shard's cores for a
+/// sharded run.
+struct SpanState {
+    /// The slice's virtual clock (next cycle to simulate).
+    cur: Cycle,
+    /// Tick every unfinished core every cycle and never jump.
+    lockstep: bool,
+    /// Sampler interval in cycles (0 = off).
+    interval: u64,
+    /// `active[k]`: local core `k`'s last tick made progress, so it ticks
+    /// again next cycle.
+    active: Vec<bool>,
+    /// `wake[k]`: earliest self-scheduled wakeup of sleeping local core
+    /// `k` (`None` = only a notice can wake it).
+    wake: Vec<Option<Cycle>>,
+    scratch: Vec<Notice>,
+    /// `Some(f)` once every local core has finished; `f` is one past the
+    /// cycle of the finishing tick — a shard's vote for the global
+    /// finish cycle.
+    finished_at: Option<Cycle>,
+    /// The slice's sampler inputs at each interval boundary, not yet
+    /// recorded.
+    samples: Vec<(Cycle, SampleInput)>,
+    /// Cycle just after the last local retirement (watchdog input).
+    last_retire: Cycle,
+}
+
+impl SpanState {
+    /// Fresh state for `n` cores starting at cycle `cur`, every core
+    /// due to tick.
+    fn new(n: usize, cur: Cycle, lockstep: bool, interval: u64) -> SpanState {
+        SpanState {
+            cur,
+            lockstep,
+            interval,
+            active: vec![true; n],
+            wake: vec![None; n],
+            scratch: Vec::new(),
+            finished_at: None,
+            samples: Vec::new(),
+            last_retire: cur,
+        }
+    }
+}
+
+/// Advances `cores` (and the memory system `mem` they share) from
+/// `st.cur` through `bound` inclusive — the one per-cycle loop every
+/// engine runs.
+///
+/// Each cycle pumps the memory system, then ticks each core that is due.
+/// A core whose tick made no progress is put to sleep: its remaining
+/// stall is a pure replay (the same CPI category, the same occupancies)
+/// until either a notice arrives from the memory system or its own next
+/// timed wakeup ([`Core::next_timed_wakeup`]) comes due, so those cycles
+/// are applied in bulk via [`Core::apply_idle_cycles`] instead of being
+/// simulated. When every core is asleep the loop jumps straight to the
+/// earliest cycle anything can happen: the memory system's next queued
+/// event, the earliest core wakeup, the next sampler boundary (samples
+/// must land exactly where a per-cycle loop puts them), or `bound + 1`.
+/// With `st.lockstep` no core sleeps, as in [`Multicore::step`].
+///
+/// With `early_stop`, returns as soon as the last core finishes,
+/// recording `st.finished_at`.
+fn run_span<T: Tracer, P: Profiler, V: ValueImage>(
+    st: &mut SpanState,
+    cores: &mut [Core],
+    mem: &mut MemorySystem,
+    tracer: &mut T,
+    valmem: &mut V,
+    bound: Cycle,
+    early_stop: bool,
+) {
+    let SpanState {
+        cur,
+        lockstep,
+        interval,
+        active,
+        wake,
+        scratch,
+        finished_at,
+        samples,
+        last_retire,
+    } = st;
+    let (lockstep, interval) = (*lockstep, *interval);
+    while *cur <= bound {
+        {
+            let _p = P::span("memsys");
+            mem.advance_profiled::<T, P>(*cur, tracer);
+        }
+        let mut retired = 0u64;
+        let mut any_active = false;
+        for (k, core) in cores.iter_mut().enumerate() {
+            let id = core.id();
+            scratch.clear();
+            if mem.has_notices(id) {
+                mem.take_notices_into(id, scratch);
+            }
+            let due =
+                lockstep || active[k] || !scratch.is_empty() || wake[k].is_some_and(|w| w <= *cur);
+            if !due {
+                if !core.finished() {
+                    core.apply_idle_cycles(1);
+                }
+                continue;
+            }
+            if core.finished() && scratch.is_empty() {
+                active[k] = false;
+                wake[k] = None;
+                continue;
+            }
+            let mut port = PortView {
+                mem: &mut *mem,
+                core: id,
+            };
+            let r = {
+                let _p = P::span("tick");
+                core.tick_profiled::<_, _, T, P>(*cur, &mut port, valmem, scratch, tracer)
+            };
+            retired += r.retired;
+            if !lockstep {
+                if r.progress {
+                    active[k] = true;
+                    any_active = true;
+                } else {
+                    active[k] = false;
+                    wake[k] = core.next_timed_wakeup(*cur);
+                }
+            }
+        }
+        *cur += 1;
+        if interval != 0 && cur.is_multiple_of(interval) {
+            samples.push((*cur, partial_input(cores, mem)));
+        }
+        if retired > 0 {
+            *last_retire = *cur;
+        }
+        if early_stop && cores.iter().all(Core::finished) {
+            *finished_at = Some(*cur);
+            return;
+        }
+        if lockstep || any_active {
+            continue;
+        }
+        // Everything is asleep: jump to the next interesting cycle.
+        let _p = P::span("jump");
+        let mut next = Cycle::MAX;
+        if let Some(c) = mem.next_event_cycle() {
+            next = next.min(c);
+        }
+        for w in wake.iter().flatten() {
+            next = next.min(*w);
+        }
+        next = next.min(bound + 1);
+        if let Some(intervals_done) = cur.checked_div(interval) {
+            next = next.min((intervals_done + 1) * interval);
+        }
+        if next <= *cur {
+            continue;
+        }
+        let skipped = next - *cur;
+        for c in cores.iter_mut() {
+            if !c.finished() {
+                c.apply_idle_cycles(skipped);
+            }
+        }
+        *cur = next;
+        if interval != 0 && cur.is_multiple_of(interval) {
+            samples.push((*cur, partial_input(cores, mem)));
+        }
+    }
+}
+
+/// Sums the instantaneous snapshot of `cores` and `mem` into a
+/// [`SampleInput`]. Every field is additive across shards, so summing
+/// the shards' partial inputs at one boundary reproduces the serial
+/// global sample.
+fn partial_input(cores: &[Core], mem: &MemorySystem) -> SampleInput {
+    let mut input = SampleInput {
+        n_cores: cores.len() as u64,
+        outstanding_misses: mem.outstanding_misses() as u64,
+        ..SampleInput::default()
+    };
+    for c in cores {
+        let (rob, lq, sq) = c.occupancy();
+        input.rob += rob as u64;
+        input.lq += lq as u64;
+        input.sq += sq as u64;
+        input.sb += c.sb_depth() as u64;
+        let s = c.stats();
+        input.retired += s.retired_instrs;
+        input.gate_closed_cycles += s.gate_closed_cycles;
+        input.squashes += s.squashes.iter().sum::<u64>();
+    }
+    input
 }
 
 // ---------------------------------------------------------------------
@@ -810,28 +900,15 @@ impl ShardCollector for KeyedCollector {
     }
 }
 
-/// One worker's slice of the machine: the cores it owns (tagged with
-/// their global index), the memory-system shard hosting their private
-/// controllers and this shard's directory banks, plus the run state the
-/// serial event engine keeps globally.
+/// One worker's slice of the machine: the cores it owns, the
+/// memory-system shard hosting their private controllers and this
+/// shard's directory banks, and the loop state over them.
 struct EngineShard<C> {
     id: usize,
-    cores: Vec<(usize, Core)>,
+    cores: Vec<Core>,
     mem: MemorySystem,
     collector: C,
-    /// This shard's virtual clock (next cycle to simulate).
-    cur: Cycle,
-    active: Vec<bool>,
-    wake: Vec<Option<Cycle>>,
-    scratch: Vec<Notice>,
-    /// `Some(f)` once every local core has finished; `f` is one past the
-    /// cycle of the finishing tick — this shard's vote for the global
-    /// finish cycle.
-    finished_at: Option<Cycle>,
-    /// Local-core partial sampler inputs at each interval boundary.
-    samples: Vec<(Cycle, SampleInput)>,
-    /// Cycle just after the last local retirement (watchdog input).
-    last_retire: Cycle,
+    span: SpanState,
     limit_hit: bool,
     error: Option<RunError>,
     /// sa-scalescope telemetry accumulated by the worker loop.
@@ -867,29 +944,6 @@ fn arrive_last(counter: &AtomicUsize, threads: usize) -> bool {
     counter.fetch_add(1, Ordering::SeqCst) % threads == threads - 1
 }
 
-/// Sums a shard's instantaneous local snapshot into a partial
-/// [`SampleInput`]. Every field is additive across shards, so summing
-/// the partials at one boundary reproduces the serial global sample.
-fn partial_input(cores: &[(usize, Core)], mem: &MemorySystem) -> SampleInput {
-    let mut input = SampleInput {
-        n_cores: cores.len() as u64,
-        outstanding_misses: mem.outstanding_misses() as u64,
-        ..SampleInput::default()
-    };
-    for (_, c) in cores {
-        let (rob, lq, sq) = c.occupancy();
-        input.rob += rob as u64;
-        input.lq += lq as u64;
-        input.sq += sq as u64;
-        input.sb += c.sb_depth() as u64;
-        let s = c.stats();
-        input.retired += s.retired_instrs;
-        input.gate_closed_cycles += s.gate_closed_cycles;
-        input.squashes += s.squashes.iter().sum::<u64>();
-    }
-    input
-}
-
 fn add_sample(acc: &mut SampleInput, p: &SampleInput) {
     acc.n_cores += p.n_cores;
     acc.outstanding_misses += p.outstanding_misses;
@@ -902,130 +956,16 @@ fn add_sample(acc: &mut SampleInput, p: &SampleInput) {
     acc.squashes += p.squashes;
 }
 
-/// Advances one shard from `st.cur` through `bound` (inclusive), running
-/// the serial event engine's per-cycle body over the local cores — or
-/// the lockstep body when `lockstep` is set (every unfinished core ticks
-/// every cycle, as the traced serial engine does). With `early_stop`,
-/// returns as soon as the last local core finishes, recording the
-/// shard's finish vote.
-fn run_span<C: Tracer, P: Profiler>(
-    st: &mut EngineShard<C>,
-    bound: Cycle,
-    early_stop: bool,
-    lockstep: bool,
-    interval: u64,
-    valmem: &StripedValueMemory,
-) {
-    let EngineShard {
-        cores,
-        mem,
-        collector,
-        cur,
-        active,
-        wake,
-        scratch,
-        finished_at,
-        samples,
-        last_retire,
-        ..
-    } = st;
-    while *cur <= bound {
-        mem.advance_profiled::<C, P>(*cur, collector);
-        let mut retired = 0u64;
-        let mut any_active = false;
-        for k in 0..cores.len() {
-            let (gi, core) = &mut cores[k];
-            let id = CoreId::from_index(*gi);
-            scratch.clear();
-            if mem.has_notices(id) {
-                mem.take_notices_into(id, scratch);
-            }
-            let due =
-                lockstep || active[k] || !scratch.is_empty() || wake[k].is_some_and(|w| w <= *cur);
-            if !due {
-                if !core.finished() {
-                    core.apply_idle_cycles(1);
-                }
-                continue;
-            }
-            if core.finished() && scratch.is_empty() {
-                active[k] = false;
-                wake[k] = None;
-                continue;
-            }
-            let mut port = PortView {
-                mem: &mut *mem,
-                core: id,
-            };
-            let mut vm = valmem;
-            let r = core.tick_profiled::<_, _, C, P>(*cur, &mut port, &mut vm, scratch, collector);
-            retired += r.retired;
-            if !lockstep {
-                if r.progress {
-                    active[k] = true;
-                    any_active = true;
-                } else {
-                    active[k] = false;
-                    wake[k] = core.next_timed_wakeup(*cur);
-                }
-            }
-        }
-        *cur += 1;
-        if interval != 0 && cur.is_multiple_of(interval) {
-            samples.push((*cur, partial_input(cores, mem)));
-        }
-        if retired > 0 {
-            *last_retire = *cur;
-        }
-        if early_stop && cores.iter().all(|(_, c)| c.finished()) {
-            *finished_at = Some(*cur);
-            return;
-        }
-        if lockstep || any_active {
-            continue;
-        }
-        // Local slice asleep: jump to the next interesting local cycle.
-        // The span bound subsumes the serial engine's budget clamp; the
-        // watchdog fires at barrier granularity instead.
-        let mut next = Cycle::MAX;
-        if let Some(c) = mem.next_event_cycle() {
-            next = next.min(c);
-        }
-        for w in wake.iter().flatten() {
-            next = next.min(*w);
-        }
-        next = next.min(bound + 1);
-        if let Some(intervals_done) = cur.checked_div(interval) {
-            next = next.min((intervals_done + 1) * interval);
-        }
-        if next <= *cur {
-            continue;
-        }
-        let skipped = next - *cur;
-        for (_, c) in cores.iter_mut() {
-            if !c.finished() {
-                c.apply_idle_cycles(skipped);
-            }
-        }
-        *cur = next;
-        if interval != 0 && cur.is_multiple_of(interval) {
-            samples.push((*cur, partial_input(cores, mem)));
-        }
-    }
-}
-
 /// One worker's epoch loop. Every epoch: advance the local slice to the
 /// epoch boundary (phase 1, stopping early on local finish), synchronize
 /// and decide globally (barrier A), catch up locally-finished shards
 /// (phase 2), then trade cross-shard deliveries (barrier B). All control
 /// decisions are computed by every shard from identically-published
 /// flags, so the shards always take the same branch — no coordinator.
-#[allow(clippy::too_many_arguments)]
 fn shard_worker<C: ShardCollector, P: Profiler>(
     mut st: EngineShard<C>,
     sync: &ShardSync,
-    valmem: &StripedValueMemory,
-    interval: u64,
+    mut valmem: &StripedValueMemory,
     max_cycles: Cycle,
     lookahead: Cycle,
     geometry: (usize, usize),
@@ -1033,32 +973,32 @@ fn shard_worker<C: ShardCollector, P: Profiler>(
 ) -> EngineShard<C> {
     let _span = P::span("shard");
     let (n_cores, n_shards) = geometry;
-    let lockstep = C::ENABLED;
     let mut epoch_start: Cycle = 0;
     loop {
         let epoch_end = epoch_start + lookahead - 1;
-        let epoch_cur0 = st.cur;
+        let epoch_cur0 = st.span.cur;
         let mut slice = EpochSlice::default();
         // Phase 1: simulate this epoch locally (cross-shard sends pile up
         // in the outbox; nothing sent this epoch is due before the next).
         let t_work = Instant::now();
-        if st.finished_at.is_none() {
-            run_span::<C, P>(
-                &mut st,
+        if st.span.finished_at.is_none() {
+            run_span::<C, P, _>(
+                &mut st.span,
+                &mut st.cores,
+                &mut st.mem,
+                &mut st.collector,
+                &mut valmem,
                 epoch_end.min(max_cycles - 1),
                 true,
-                lockstep,
-                interval,
-                valmem,
             );
-            if st.finished_at.is_none() && st.cur >= max_cycles {
+            if st.span.finished_at.is_none() && st.span.cur >= max_cycles {
                 st.limit_hit = true;
             }
         }
         slice.work_ns = t_work.elapsed().as_nanos() as u64;
         // Barrier A: publish flags, then read everyone's and decide.
-        sync.finished[st.id].store(st.finished_at.unwrap_or(u64::MAX), Ordering::SeqCst);
-        sync.retire[st.id].store(st.last_retire, Ordering::SeqCst);
+        sync.finished[st.id].store(st.span.finished_at.unwrap_or(u64::MAX), Ordering::SeqCst);
+        sync.retire[st.id].store(st.span.last_retire, Ordering::SeqCst);
         if st.limit_hit {
             sync.limit.store(true, Ordering::SeqCst);
         }
@@ -1088,9 +1028,17 @@ fn shard_worker<C: ShardCollector, P: Profiler>(
             // message sent here would be due strictly after it.
             let t_drain = Instant::now();
             if finish > 0 {
-                run_span::<C, P>(&mut st, finish - 1, false, lockstep, interval, valmem);
+                run_span::<C, P, _>(
+                    &mut st.span,
+                    &mut st.cores,
+                    &mut st.mem,
+                    &mut st.collector,
+                    &mut valmem,
+                    finish - 1,
+                    false,
+                );
             }
-            st.cur = finish;
+            st.span.cur = finish;
             slice.work_ns += t_drain.elapsed().as_nanos() as u64;
             finish_epoch(&mut st, slice, epoch_cur0);
             return st;
@@ -1111,7 +1059,15 @@ fn shard_worker<C: ShardCollector, P: Profiler>(
         // Phase 2: a shard that finished mid-epoch still owes the rest of
         // the epoch to its queue (notice ticks on finished cores).
         let t_phase2 = Instant::now();
-        run_span::<C, P>(&mut st, epoch_end, false, lockstep, interval, valmem);
+        run_span::<C, P, _>(
+            &mut st.span,
+            &mut st.cores,
+            &mut st.mem,
+            &mut st.collector,
+            &mut valmem,
+            epoch_end,
+            false,
+        );
         slice.work_ns += t_phase2.elapsed().as_nanos() as u64;
         // Barrier B: trade cross-shard deliveries for the next epoch.
         let t_route = Instant::now();
@@ -1151,7 +1107,7 @@ fn shard_worker<C: ShardCollector, P: Profiler>(
 /// early-return paths (limit, watchdog, global finish) so the partial
 /// epoch's time is still accounted.
 fn finish_epoch<C>(st: &mut EngineShard<C>, slice: EpochSlice, epoch_cur0: Cycle) {
-    let cycles = st.cur - epoch_cur0;
+    let cycles = st.span.cur - epoch_cur0;
     st.scope.sim_cycles += cycles;
     st.scope.record_epoch(slice, cycles);
 }
@@ -1206,15 +1162,36 @@ mod tests {
         assert_eq!(sim.core(CoreId(0)).arch_reg(Reg::new(0)), 77);
     }
 
+    /// Every engine stops at the budget on the same cycle; a serial run
+    /// then resumes to the one-shot report, a sharded one refuses.
     #[test]
     fn cycle_limit_reported() {
-        let mut b = TraceBuilder::new();
-        for i in 0..50 {
-            b.load(Reg::new(0), 0x1000 + i * 0x40);
+        let w = sa_workloads::by_name("dedup").expect("dedup exists");
+        let traces = w.generate(8, 400, 99);
+        let cfg = SimConfig::default().with_cores(8);
+        let one_shot = Multicore::new(cfg.clone(), traces.clone())
+            .run(u64::MAX)
+            .expect("completes");
+        let limit = one_shot.cycles / 2;
+        for engine in [
+            EngineMode::Lockstep,
+            EngineMode::EventDriven,
+            EngineMode::Parallel { threads: 2 },
+        ] {
+            let mut sim = Multicore::new(cfg.clone().with_engine(engine), traces.clone());
+            assert_eq!(
+                sim.run(limit),
+                Err(RunError::CycleLimit { limit }),
+                "{engine}"
+            );
+            assert_eq!(sim.cycle(), limit, "{engine}");
+            let resumed = sim.run(u64::MAX);
+            if let EngineMode::Parallel { .. } = engine {
+                assert_eq!(resumed, Err(RunError::NotResumable));
+            } else {
+                assert_eq!(resumed.as_ref(), Ok(&one_shot), "{engine}");
+            }
         }
-        let cfg = SimConfig::default().with_cores(1);
-        let mut sim = Multicore::new(cfg, vec![b.build()]);
-        assert_eq!(sim.run(3), Err(RunError::CycleLimit { limit: 3 }));
     }
 
     #[test]

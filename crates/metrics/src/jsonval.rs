@@ -12,6 +12,13 @@
 
 use std::collections::BTreeMap;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. Each level
+/// costs the recursive descent a few stack frames, and sa-serve parses
+/// request bodies with it, so an unbounded depth would let one request
+/// overflow a thread's stack. The documents this repository writes nest
+/// a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -33,7 +40,7 @@ impl JsonValue {
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let b = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(b, &mut pos)?;
+        let v = parse_value(b, &mut pos, 0)?;
         skip_ws(b, &mut pos);
         if pos != b.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -113,12 +120,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -208,7 +219,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'[')?;
     let mut v = Vec::new();
     skip_ws(b, pos);
@@ -217,7 +228,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(v));
     }
     loop {
-        v.push(parse_value(b, pos)?);
+        v.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -230,7 +241,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     expect(b, pos, b'{')?;
     let mut m = BTreeMap::new();
     skip_ws(b, pos);
@@ -242,7 +253,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         expect(b, pos, b':')?;
-        m.insert(key, parse_value(b, pos)?);
+        m.insert(key, parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -316,6 +327,18 @@ mod tests {
         assert!(JsonValue::parse("{\"a\":1} x").is_err());
         assert!(JsonValue::parse("\"open").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let hostile = "[".repeat(60 * 1024);
+        let err = JsonValue::parse(&hostile).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(JsonValue::parse(&objects).unwrap_err().contains("nesting"));
     }
 
     #[test]

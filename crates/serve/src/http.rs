@@ -1,8 +1,8 @@
-//! Minimal HTTP/1.1 request/response handling on `std::net`.
+//! Minimal HTTP/1.1 request/response handling on `std::net`, shared by
+//! sa-serve and `sa_bench::serve::MetricsServer`.
 //!
-//! Extends the read-only scrape loop of `sa_bench::serve::MetricsServer`
-//! to request *bodies*: the head is read until `\r\n\r\n` (with a size
-//! cap), then `Content-Length` more bytes. One request per connection,
+//! The head is read until `\r\n\r\n` (with a size cap), then
+//! `Content-Length` more bytes of body. One request per connection,
 //! `Connection: close` — the clients here are `curl`, a Prometheus
 //! scraper, and the polling job client, none of which need keep-alive.
 

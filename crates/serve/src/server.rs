@@ -1305,6 +1305,13 @@ mod tests {
         assert!(status.contains("400"), "{status}: {body}");
         assert!(body.contains("at most 64 operations"), "{body}");
 
+        // Nesting past the JSON reader's depth bound, inside the body
+        // cap, is refused and the server keeps serving.
+        let deep = "[".repeat(60 * 1024);
+        let (status, body) = http(port, "POST", "/jobs", &deep);
+        assert!(status.contains("400"), "{status}: {body}");
+        assert!(body.contains("nesting"), "{body}");
+
         let (_, unknown) = http(port, "GET", "/jobs/999999", "");
         assert!(unknown.contains("unknown"));
         let (status, _) = http(port, "GET", "/no/such", "");

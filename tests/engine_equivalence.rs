@@ -1,27 +1,37 @@
 //! The event-driven engine's contract: cycle skipping is an
 //! optimization, not a semantic change. For every workload and every
 //! consistency configuration, the skipping engine must produce a
-//! [`Report`] bit-identical to the lockstep reference — same final
-//! cycle count, same per-core statistics and CPI stacks, same
-//! time-series samples — and identical architectural outcomes
-//! (registers and memory).
+//! [`Report`] bit-identical to the lockstep engine and to the
+//! per-cycle [`Multicore::step`] reference — same final cycle count,
+//! same per-core statistics and CPI stacks, same time-series samples —
+//! and identical architectural outcomes (registers and memory).
 
 use sa_isa::{ConsistencyModel, CoreId, Reg, Trace};
 use sa_litmus::{suite, LitmusTest};
 use sa_sim::{EngineMode, Multicore, Report, SimConfig};
 
-/// Runs the same machine twice — event-driven and lockstep — and
-/// returns both simulators after asserting the reports are identical.
+/// Runs the same machine three ways — event-driven, lockstep, and a
+/// plain [`Multicore::step`] loop — and returns the first two
+/// simulators after asserting the three reports are identical.
 fn run_both(cfg: SimConfig, traces: Vec<Trace>, label: &str) -> (Multicore, Multicore) {
     let mut skip = Multicore::new(
         cfg.clone().with_engine(EngineMode::EventDriven),
         traces.clone(),
     );
-    let mut lock = Multicore::new(cfg.with_engine(EngineMode::Lockstep), traces);
+    let mut lock = Multicore::new(
+        cfg.clone().with_engine(EngineMode::Lockstep),
+        traces.clone(),
+    );
+    let mut reference = Multicore::new(cfg, traces);
     let rs: Report = skip.run(u64::MAX).expect("event engine completes");
     let rl: Report = lock.run(u64::MAX).expect("lockstep engine completes");
-    assert_eq!(rs.cycles, rl.cycles, "{label}: final cycle counts differ");
-    assert_eq!(rs, rl, "{label}: reports differ");
+    while !reference.finished() {
+        reference.step();
+    }
+    let rr = reference.report();
+    assert_eq!(rs.cycles, rr.cycles, "{label}: final cycle counts differ");
+    assert_eq!(rs, rr, "{label}: event-driven and step() reports differ");
+    assert_eq!(rl, rr, "{label}: lockstep and step() reports differ");
     (skip, lock)
 }
 
@@ -70,7 +80,7 @@ fn litmus_outcomes_and_reports_match() {
 
 /// An 8-core parallel workload with a fine sampling interval: the
 /// skipping engine must land a sample on every interval boundary the
-/// lockstep engine does, with identical contents.
+/// per-cycle loops do, with identical contents.
 #[test]
 fn sampler_series_identical_under_skipping() {
     let w = sa_workloads::by_name("dedup").expect("dedup exists");
@@ -79,20 +89,15 @@ fn sampler_series_identical_under_skipping() {
             .with_model(model)
             .with_cores(8)
             .with_sample_interval(64);
-        let traces = w.generate(8, 1_500, 99);
-        let mut skip = Multicore::new(
-            cfg.clone().with_engine(EngineMode::EventDriven),
-            traces.clone(),
+        let (skip, _) = run_both(
+            cfg,
+            w.generate(8, 1_500, 99),
+            &format!("dedup under {model}"),
         );
-        let mut lock = Multicore::new(cfg.with_engine(EngineMode::Lockstep), traces);
-        let rs = skip.run(u64::MAX).expect("completes");
-        let rl = lock.run(u64::MAX).expect("completes");
         assert!(
-            !rs.samples.is_empty(),
+            !skip.report().samples.is_empty(),
             "{model}: a 64-cycle interval must produce samples"
         );
-        assert_eq!(rs.samples, rl.samples, "{model}: sample series differ");
-        assert_eq!(rs, rl, "{model}: full reports differ");
     }
 }
 
