@@ -9,7 +9,8 @@
 //! `schema`/`scale`/`seed` result-schema header.
 //!
 //! [`parse`] is the `main()` entry (prints usage and exits on `--help`
-//! or bad input); [`parse_from`] is the pure, testable core.
+//! or bad input, and makes a closed standard output a clean exit);
+//! [`parse_from`] is the pure, testable core.
 
 use sa_metrics::JsonWriter;
 use sa_sim::{parse_topology, EngineMode, SimConfig, Topology};
@@ -331,7 +332,10 @@ pub fn parse_from(spec: &Spec, args: &[String]) -> Result<Args, String> {
 
 /// Parses the process arguments against `spec`. Prints usage and exits 0
 /// on `--help`, prints the error and usage and exits 2 on bad input.
+/// From here on, a write to a closed standard output (the binary piped
+/// into `head` or `diff -q`) ends the process with status 0.
 pub fn parse(spec: &Spec) -> Args {
+    exit_on_broken_stdout();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", usage(spec));
@@ -342,6 +346,26 @@ pub fn parse(spec: &Spec) -> Args {
         eprint!("{}", usage(spec));
         std::process::exit(2);
     })
+}
+
+/// Installs a panic hook that turns `print!`'s panic on a broken pipe
+/// (`failed printing to stdout: … (os error 32)`, EPIPE) into
+/// `exit(0)`: the reader has everything it asked for. Every other
+/// panic still goes to the default hook.
+fn exit_on_broken_stdout() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if msg.starts_with("failed printing to stdout") && msg.ends_with("(os error 32)") {
+            std::process::exit(0);
+        }
+        default(info);
+    }));
 }
 
 /// Opens a JSON result document with the shared result-schema header:

@@ -1,4 +1,16 @@
 //! Generic set-associative cache array with true-LRU replacement.
+//!
+//! Storage is proportional to the sets a run has touched, not to the
+//! array's geometry. A set has no storage until its first insert. It
+//! then gets one buffer of `assoc` ways, appended to a dense list of
+//! touched sets, and a per-set `u32` index maps set numbers into that
+//! list. The index itself is allocated, zeroed, on the first insert
+//! anywhere. A litmus-scale run touches a handful of the 2048 sets of
+//! each 1 MB L3 bank, so it builds, and later drops, 8 KB of index plus
+//! a few 64-byte sets instead of 2048 set headers per bank. Lookups go
+//! through the index and then scan one set, exactly as before. Each set
+//! is still ordered most-recently-used first, so recency, victims and
+//! `iter` order do not depend on the storage.
 
 use sa_isa::{Line, LINE_BYTES};
 
@@ -19,17 +31,20 @@ use sa_isa::{Line, LINE_BYTES};
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheArray<T> {
-    /// `sets[s]` is ordered most-recently-used first. Empty until the
-    /// first insert: a never-written array costs no per-set storage at
-    /// construction *or* teardown (an 8 MB L3 is ~16 k set headers —
-    /// that write dominated litmus-scale setup time).
+    /// `index[s]` is 0 while set `s` has never been inserted into, else
+    /// one plus the position of its ways in `sets`. Empty until the
+    /// first insert.
+    index: Vec<u32>,
+    /// Ways of the touched sets, in first-touch order. Each is ordered
+    /// most-recently-used first and holds at most `assoc` lines.
     sets: Vec<Vec<(Line, T)>>,
     assoc: usize,
     set_mask: u64,
 }
 
 impl<T> CacheArray<T> {
-    /// Creates an array of `bytes` capacity and `assoc` ways.
+    /// Creates an array of `bytes` capacity and `assoc` ways. Nothing is
+    /// allocated until the first insert.
     ///
     /// # Panics
     ///
@@ -39,10 +54,8 @@ impl<T> CacheArray<T> {
         assert!(assoc > 0 && lines >= assoc, "cache smaller than one set");
         let n_sets = lines / assoc;
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
-        // All set storage allocates lazily on first insert: a cold
-        // cache costs nothing, so short (litmus-scale) runs don't pay
-        // for thousands of sets they never touch.
         CacheArray {
+            index: Vec::new(),
             sets: Vec::new(),
             assoc,
             set_mask: n_sets as u64 - 1,
@@ -52,6 +65,23 @@ impl<T> CacheArray<T> {
     #[inline]
     fn set_of(&self, line: Line) -> usize {
         (line.raw() & self.set_mask) as usize
+    }
+
+    /// Position in `sets` of `line`'s set, `None` while it is untouched.
+    #[inline]
+    fn slot(&self, line: Line) -> Option<usize> {
+        let i = *self.index.get(self.set_of(line))?;
+        (i as usize).checked_sub(1)
+    }
+
+    #[inline]
+    fn set(&self, line: Line) -> Option<&Vec<(Line, T)>> {
+        self.slot(line).map(|i| &self.sets[i])
+    }
+
+    #[inline]
+    fn set_mut(&mut self, line: Line) -> Option<&mut Vec<(Line, T)>> {
+        self.slot(line).map(|i| &mut self.sets[i])
     }
 
     /// Number of sets.
@@ -66,15 +96,13 @@ impl<T> CacheArray<T> {
 
     /// `true` when `line` is present.
     pub fn contains(&self, line: Line) -> bool {
-        self.sets
-            .get(self.set_of(line))
+        self.set(line)
             .is_some_and(|set| set.iter().any(|(l, _)| *l == line))
     }
 
     /// Payload of `line`, without updating recency.
     pub fn peek(&self, line: Line) -> Option<&T> {
-        self.sets
-            .get(self.set_of(line))?
+        self.set(line)?
             .iter()
             .find(|(l, _)| *l == line)
             .map(|(_, t)| t)
@@ -82,9 +110,7 @@ impl<T> CacheArray<T> {
 
     /// Mutable payload of `line`, without updating recency.
     pub fn peek_mut(&mut self, line: Line) -> Option<&mut T> {
-        let s = self.set_of(line);
-        self.sets
-            .get_mut(s)?
+        self.set_mut(line)?
             .iter_mut()
             .find(|(l, _)| *l == line)
             .map(|(_, t)| t)
@@ -92,13 +118,11 @@ impl<T> CacheArray<T> {
 
     /// Marks `line` most-recently-used; returns `true` if it was present.
     pub fn touch(&mut self, line: Line) -> bool {
-        let s = self.set_of(line);
-        let Some(set) = self.sets.get_mut(s) else {
+        let Some(set) = self.set_mut(line) else {
             return false;
         };
         if let Some(pos) = set.iter().position(|(l, _)| *l == line) {
-            let e = set.remove(pos);
-            set.insert(0, e);
+            set[..=pos].rotate_right(1);
             true
         } else {
             false
@@ -110,33 +134,30 @@ impl<T> CacheArray<T> {
     /// recency without eviction.
     pub fn insert(&mut self, line: Line, payload: T) -> Option<(Line, T)> {
         let s = self.set_of(line);
-        if self.sets.is_empty() {
-            // First insert anywhere: materialize the (empty) sets.
-            self.sets.resize_with(self.n_sets(), Vec::new);
+        if self.index.is_empty() {
+            self.index = vec![0; self.n_sets()];
         }
-        if self.sets[s].capacity() == 0 {
-            // First touch of this set: grab the full way capacity at
-            // once so the set never reallocates afterwards.
-            self.sets[s].reserve_exact(self.assoc);
+        if self.index[s] == 0 {
+            // First insert into this set: its full way capacity at once,
+            // so the set never reallocates.
+            self.sets.push(Vec::with_capacity(self.assoc));
+            self.index[s] = u32::try_from(self.sets.len()).expect("set count fits u32");
         }
-        if let Some(pos) = self.sets[s].iter().position(|(l, _)| *l == line) {
-            self.sets[s].remove(pos);
-            self.sets[s].insert(0, (line, payload));
+        let assoc = self.assoc;
+        let set = &mut self.sets[self.index[s] as usize - 1];
+        if let Some(pos) = set.iter().position(|(l, _)| *l == line) {
+            set.remove(pos);
+            set.insert(0, (line, payload));
             return None;
         }
-        let victim = if self.sets[s].len() == self.assoc {
-            self.sets[s].pop()
-        } else {
-            None
-        };
-        self.sets[s].insert(0, (line, payload));
+        let victim = if set.len() == assoc { set.pop() } else { None };
+        set.insert(0, (line, payload));
         victim
     }
 
     /// Removes `line`, returning its payload.
     pub fn remove(&mut self, line: Line) -> Option<T> {
-        let s = self.set_of(line);
-        let set = self.sets.get_mut(s)?;
+        let set = self.set_mut(line)?;
         let pos = set.iter().position(|(l, _)| *l == line)?;
         Some(set.remove(pos).1)
     }
@@ -151,10 +172,14 @@ impl<T> CacheArray<T> {
         self.sets.iter().all(Vec::is_empty)
     }
 
-    /// Iterates over `(line, payload)` pairs in unspecified (but
-    /// deterministic) order.
+    /// Iterates over `(line, payload)` pairs by ascending set number,
+    /// most-recently-used first within a set.
     pub fn iter(&self) -> impl Iterator<Item = (Line, &T)> {
-        self.sets.iter().flatten().map(|(l, t)| (*l, t))
+        self.index
+            .iter()
+            .filter_map(|&i| (i as usize).checked_sub(1))
+            .flat_map(|i| self.sets[i].iter())
+            .map(|(l, t)| (*l, t))
     }
 }
 

@@ -1,5 +1,5 @@
 //! Deterministic discrete-event queue, implemented as a bucketed time
-//! wheel.
+//! wheel over one entry arena.
 //!
 //! The memory system schedules almost every event within a few hundred
 //! cycles of "now" (network hops, cache latencies, DRAM), so a wheel of
@@ -9,6 +9,18 @@
 //! cycle. Entries carry their absolute cycle, so a slot shared by
 //! several cycles (after the cursor moved back for a past-relative
 //! schedule) is disambiguated by tag, not by lap arithmetic.
+//!
+//! ## Storage
+//!
+//! Wheel entries live in one arena (`Vec` of nodes). Each slot is an
+//! unordered singly linked list through the arena, reached from a
+//! per-slot head index; a popped node goes on a free list and is reused
+//! by the next schedule, so the arena only grows to the most events
+//! ever pending at once. A 1024-bit occupancy bitmap marks non-empty
+//! slots, and the cursor scans in `pop_until` and `next_cycle` jump from
+//! one set bit to the next a word at a time instead of stepping slot by
+//! slot. A new queue therefore costs one 4 KB head array and no
+//! per-slot buffers.
 //!
 //! ## Canonical ordering
 //!
@@ -23,7 +35,7 @@
 //! remote shard's event under its original key. Same-key collisions are
 //! impossible — one origin's events always come from one counter.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use sa_isa::Cycle;
 
@@ -32,13 +44,20 @@ use sa_isa::Cycle;
 /// network hops) with generous slack.
 const WHEEL_SLOTS: usize = 1024;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
+const WORDS: usize = WHEEL_SLOTS / 64;
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
+/// One arena node: a pending wheel entry, or (payload taken) a free
+/// node.
 #[derive(Debug)]
-struct Slotted<E> {
+struct Node<E> {
     cycle: Cycle,
     origin: u32,
+    /// Next node in this node's slot list, or in the free list.
+    next: u32,
     seq: u64,
-    payload: E,
+    payload: Option<E>,
 }
 
 /// A time-ordered event queue with deterministic `(origin, seq)`
@@ -56,7 +75,14 @@ struct Slotted<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    slots: Vec<VecDeque<Slotted<E>>>,
+    /// Wheel entries and free nodes.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list in `nodes`.
+    free: u32,
+    /// Head of each slot's list in `nodes`.
+    heads: Vec<u32>,
+    /// Bit `s` is set iff slot `s`'s list is non-empty.
+    occupied: [u64; WORDS],
     /// No wheel entry lives at a cycle below this; `pop_until` scans
     /// forward from here and `schedule` moves it back for a cycle in the
     /// past relative to it.
@@ -71,7 +97,10 @@ pub struct EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| VecDeque::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; WHEEL_SLOTS],
+            occupied: [0; WORDS],
             cursor: 0,
             wheel_len: 0,
             overflow: BTreeMap::new(),
@@ -134,12 +163,24 @@ impl<E> EventQueue<E> {
             self.cursor = cycle;
         }
         if cycle - self.cursor < WHEEL_SLOTS as u64 {
-            self.slots[(cycle & WHEEL_MASK) as usize].push_back(Slotted {
+            let slot = (cycle & WHEEL_MASK) as usize;
+            let node = Node {
                 cycle,
                 origin,
+                next: self.heads[slot],
                 seq,
-                payload,
-            });
+                payload: Some(payload),
+            };
+            let n = if self.free == NIL {
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("pending events fit u32")
+            } else {
+                let n = self.free;
+                self.free = std::mem::replace(&mut self.nodes[n as usize], node).next;
+                n
+            };
+            self.heads[slot] = n;
+            self.occupied[slot / 64] |= 1 << (slot % 64);
             self.wheel_len += 1;
         } else {
             self.overflow
@@ -150,17 +191,47 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Position of the `(origin, seq)`-minimal entry for exactly `cycle`
-    /// in its slot.
-    fn slot_front(&self, cycle: Cycle) -> Option<usize> {
-        let slot = &self.slots[(cycle & WHEEL_MASK) as usize];
-        let mut best: Option<(u32, u64, usize)> = None;
-        for (i, e) in slot.iter().enumerate() {
-            if e.cycle == cycle && best.is_none_or(|(o, s, _)| (e.origin, e.seq) < (o, s)) {
-                best = Some((e.origin, e.seq, i));
+    /// The `(origin, seq)`-minimal entry for exactly `cycle` in its
+    /// slot, as `(predecessor in the slot list or NIL, node)`.
+    fn slot_front(&self, cycle: Cycle) -> Option<(u32, u32)> {
+        let mut best: Option<(u32, u32)> = None;
+        let (mut prev, mut n) = (NIL, self.heads[(cycle & WHEEL_MASK) as usize]);
+        while n != NIL {
+            let e = &self.nodes[n as usize];
+            if e.cycle == cycle
+                && best.is_none_or(|(_, b)| {
+                    let b = &self.nodes[b as usize];
+                    (e.origin, e.seq) < (b.origin, b.seq)
+                })
+            {
+                best = Some((prev, n));
+            }
+            (prev, n) = (n, e.next);
+        }
+        best
+    }
+
+    /// Distance from `from` to the first cycle at or after it whose slot
+    /// is occupied (less than one lap), or `None` for an empty wheel.
+    fn next_occupied(&self, from: Cycle) -> Option<u64> {
+        let s = (from & WHEEL_MASK) as usize;
+        let (w, b) = (s / 64, s % 64);
+        let here = self.occupied[w] & (!0u64 << b);
+        if here != 0 {
+            return Some(u64::from(here.trailing_zeros()) - b as u64);
+        }
+        for k in 1..=WORDS {
+            let wi = (w + k) % WORDS;
+            let mut bits = self.occupied[wi];
+            if k == WORDS {
+                bits &= !(!0u64 << b);
+            }
+            if bits != 0 {
+                let slot = wi * 64 + bits.trailing_zeros() as usize;
+                return Some(((slot + WHEEL_SLOTS - s) % WHEEL_SLOTS) as u64);
             }
         }
-        best.map(|(_, _, i)| i)
+        None
     }
 
     /// Position of the `(origin, seq)`-minimal entry in an overflow
@@ -185,9 +256,16 @@ impl<E> EventQueue<E> {
             return None;
         }
         while self.cursor <= until {
-            if self.slot_front(self.cursor).is_some() {
-                return Some(self.cursor);
+            let c = self.cursor + self.next_occupied(self.cursor).expect("wheel not empty");
+            if c > until {
+                self.cursor = until + 1;
+                break;
             }
+            self.cursor = c;
+            if self.slot_front(c).is_some() {
+                return Some(c);
+            }
+            // The slot holds only later laps' entries.
             self.cursor += 1;
         }
         None
@@ -215,14 +293,11 @@ impl<E> EventQueue<E> {
                 } else {
                     // Same cycle in both stores (possible after a cursor
                     // move-back): the canonical key decides.
-                    let wkey = {
-                        let i = self.slot_front(w).expect("scanned entry");
-                        let e = &self.slots[(w & WHEEL_MASK) as usize][i];
-                        (e.origin, e.seq)
-                    };
+                    let (_, n) = self.slot_front(w).expect("scanned entry");
+                    let e = &self.nodes[n as usize];
                     let bucket = &self.overflow[&o];
                     let b = &bucket[Self::bucket_front(bucket)];
-                    if wkey < (b.0, b.1) {
+                    if (e.origin, e.seq) < (b.0, b.1) {
                         Some(self.pop_wheel(w))
                     } else {
                         Some(self.pop_overflow(o))
@@ -233,12 +308,23 @@ impl<E> EventQueue<E> {
     }
 
     fn pop_wheel(&mut self, cycle: Cycle) -> (Cycle, u32, u64, E) {
-        let i = self.slot_front(cycle).expect("entry present");
-        let e = self.slots[(cycle & WHEEL_MASK) as usize]
-            .remove(i)
-            .expect("in-bounds index");
+        let (prev, n) = self.slot_front(cycle).expect("entry present");
+        let slot = (cycle & WHEEL_MASK) as usize;
+        let e = &mut self.nodes[n as usize];
+        let next = std::mem::replace(&mut e.next, self.free);
+        let payload = e.payload.take().expect("live node");
+        let (origin, seq) = (e.origin, e.seq);
+        self.free = n;
+        if prev == NIL {
+            self.heads[slot] = next;
+            if next == NIL {
+                self.occupied[slot / 64] &= !(1 << (slot % 64));
+            }
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
         self.wheel_len -= 1;
-        (e.cycle, e.origin, e.seq, e.payload)
+        (cycle, origin, seq, payload)
     }
 
     fn pop_overflow(&mut self, cycle: Cycle) -> (Cycle, u32, u64, E) {
@@ -252,21 +338,41 @@ impl<E> EventQueue<E> {
         (cycle, origin, seq, payload)
     }
 
+    /// The earliest wheel cycle: the first occupied slot, within one lap
+    /// of the cursor, holding an entry for that very cycle. Entries more
+    /// than a lap ahead (left there by cursor move-backs) are found by a
+    /// walk over every occupied slot.
+    fn wheel_min(&self) -> Option<Cycle> {
+        if self.wheel_len == 0 {
+            return None;
+        }
+        let mut d = 0;
+        while d < WHEEL_SLOTS as u64 {
+            let c = self.cursor + d;
+            d += self.next_occupied(c).expect("wheel not empty");
+            if d >= WHEEL_SLOTS as u64 {
+                break;
+            }
+            if self.slot_front(self.cursor + d).is_some() {
+                return Some(self.cursor + d);
+            }
+            d += 1;
+        }
+        (0..WHEEL_SLOTS)
+            .filter(|&s| self.occupied[s / 64] & (1 << (s % 64)) != 0)
+            .flat_map(|s| {
+                std::iter::successors(Some(self.heads[s]), |&n| {
+                    Some(self.nodes[n as usize].next).filter(|&n| n != NIL)
+                })
+            })
+            .map(|n| self.nodes[n as usize].cycle)
+            .min()
+    }
+
     /// The cycle of the earliest pending event.
     pub fn next_cycle(&self) -> Option<Cycle> {
         let of = self.overflow.keys().next().copied();
-        let wheel = if self.wheel_len == 0 {
-            None
-        } else {
-            let mut c = self.cursor;
-            loop {
-                if self.slot_front(c).is_some() {
-                    break Some(c);
-                }
-                c += 1;
-            }
-        };
-        match (wheel, of) {
+        match (self.wheel_min(), of) {
             (Some(w), Some(o)) => Some(w.min(o)),
             (w, o) => w.or(o),
         }
@@ -395,6 +501,22 @@ mod tests {
     }
 
     #[test]
+    fn next_cycle_finds_an_entry_more_than_a_lap_ahead() {
+        // After a move-back, the only wheel entry can sit more than a lap
+        // past the cursor, where the first-lap bitmap walk cannot see it.
+        let mut q = EventQueue::new();
+        assert!(q.pop_until(100).is_none()); // cursor parks at 101
+        let far = 101 + WHEEL_SLOTS as u64 - 1; // last slot of the horizon
+        q.schedule(far, "far");
+        q.schedule(60, "back"); // cursor back to 60: `far` is past a lap
+        assert_eq!(q.next_cycle(), Some(60));
+        assert_eq!(q.pop_until(60), Some((60, "back")));
+        assert_eq!(q.next_cycle(), Some(far));
+        assert_eq!(q.pop_until(u64::MAX), Some((far, "far")));
+        assert_eq!(q.next_cycle(), None);
+    }
+
+    #[test]
     fn canonical_order_preserved_between_wheel_and_overflow() {
         let mut q = EventQueue::new();
         let c = 2 * WHEEL_SLOTS as u64;
@@ -409,12 +531,16 @@ mod tests {
 
     #[test]
     fn randomized_matches_sorted_reference() {
-        // Deterministic pseudo-random schedule/pop interleaving compared
-        // against a sorted reference implementation of the canonical
-        // (cycle, origin, seq) order.
+        // Deterministic pseudo-random schedule/inject/pop interleaving
+        // compared against a sorted reference of the canonical
+        // (cycle, origin, seq) order; after every step the pending count
+        // and the earliest cycle must agree too. Schedules land near the
+        // cursor, at the edge of the wheel, beyond it (overflow), and
+        // behind the scan cursor (a move-back, which can leave wheel
+        // entries more than a lap ahead of the cursor). Injections carry
+        // keys minted by another queue.
         let mut q = EventQueue::new();
         let mut reference: Vec<(Cycle, u32, u64, u64)> = Vec::new(); // (cycle, origin, seq, tag)
-        let mut seq = 0u64;
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut rand = move || {
             state ^= state << 13;
@@ -422,28 +548,47 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut now = 0u64;
-        for i in 0..2000u64 {
+        let lap = WHEEL_SLOTS as u64;
+        let (mut now, mut remote_seq) = (0u64, 1u64 << 40);
+        let (mut move_backs, mut injected, mut beyond_lap) = (0, 0, 0);
+        for i in 0..6000u64 {
             let r = rand();
-            match r % 4 {
-                0 | 1 => {
-                    // Mostly near-future, occasionally far-future.
-                    let delta = if r % 97 == 0 { r % 5000 } else { r % 300 };
+            match r % 8 {
+                0..=2 => {
+                    let cycle = match (r >> 8) % 20 {
+                        0 | 1 => now + lap + (r >> 16) % (3 * lap),
+                        2 | 3 => now + (r >> 16) % lap,
+                        // The last slots of the horizon: a later
+                        // move-back leaves these more than a lap ahead.
+                        4 => now + lap - 1 - (r >> 16) % 48,
+                        5..=7 => now.saturating_sub((r >> 16) % 40),
+                        _ => now + (r >> 16) % 300,
+                    };
+                    if cycle < q.cursor {
+                        move_backs += 1;
+                    }
                     let origin = (r >> 32) as u32 % 9;
-                    q.schedule_from(now + delta, origin, i);
-                    reference.push((now + delta, origin, seq, i));
-                    seq += 1;
+                    reference.push((cycle, origin, q.next_seq(), i));
+                    q.schedule_from(cycle, origin, i);
+                }
+                3 => {
+                    let cycle = now.saturating_sub(20) + (r >> 16) % 600;
+                    let origin = 9 + (r >> 32) as u32 % 4;
+                    remote_seq += 1 + (r >> 40) % 3;
+                    q.inject(cycle, origin, remote_seq, i);
+                    reference.push((cycle, origin, remote_seq, i));
+                    injected += 1;
                 }
                 _ => {
                     now += r % 50;
                     loop {
-                        let got = q.pop_until(now);
+                        let got = q.pop_until_keyed(now);
                         reference.sort();
                         let want = reference.first().filter(|&&(c, _, _, _)| c <= now).copied();
                         match (got, want) {
                             (None, None) => break,
-                            (Some((gc, gt)), Some((wc, _, _, wt))) => {
-                                assert_eq!((gc, gt), (wc, wt));
+                            (Some(g), Some(w)) => {
+                                assert_eq!(g, w);
                                 reference.remove(0);
                             }
                             (g, w) => panic!("mismatch: got {g:?}, want {w:?}"),
@@ -451,7 +596,21 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(q.len(), reference.len());
+            reference.sort();
+            assert_eq!(q.len(), reference.len(), "step {i}");
+            assert_eq!(q.next_cycle(), reference.first().map(|e| e.0), "step {i}");
+            if q.nodes
+                .iter()
+                .any(|n| n.payload.is_some() && n.cycle >= q.cursor + lap)
+            {
+                beyond_lap += 1;
+            }
         }
+        assert!(move_backs > 100, "{move_backs} move-backs");
+        assert!(injected > 100, "{injected} injections");
+        assert!(
+            beyond_lap > 10,
+            "{beyond_lap} steps with wheel entries past a lap"
+        );
     }
 }

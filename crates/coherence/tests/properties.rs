@@ -57,6 +57,124 @@ fn lru_touch_protects() {
     }
 }
 
+/// A naive true-LRU reference: every set materialised up front as a
+/// list ordered most-recently-used first.
+struct LruModel {
+    sets: Vec<Vec<(Line, u64)>>,
+    assoc: usize,
+}
+
+impl LruModel {
+    fn new(bytes: usize, assoc: usize) -> LruModel {
+        let n_sets = bytes / 64 / assoc;
+        LruModel {
+            sets: vec![Vec::new(); n_sets],
+            assoc,
+        }
+    }
+
+    fn set(&mut self, line: Line) -> &mut Vec<(Line, u64)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line.raw() % n) as usize]
+    }
+
+    fn find(&mut self, line: Line) -> Option<usize> {
+        self.set(line).iter().position(|(l, _)| *l == line)
+    }
+
+    fn insert(&mut self, line: Line, v: u64) -> Option<(Line, u64)> {
+        let assoc = self.assoc;
+        let victim = match self.find(line) {
+            Some(pos) => {
+                self.set(line).remove(pos);
+                None
+            }
+            None if self.set(line).len() == assoc => self.set(line).pop(),
+            None => None,
+        };
+        self.set(line).insert(0, (line, v));
+        victim
+    }
+
+    fn touch(&mut self, line: Line) -> bool {
+        let Some(pos) = self.find(line) else {
+            return false;
+        };
+        let e = self.set(line).remove(pos);
+        self.set(line).insert(0, e);
+        true
+    }
+
+    fn remove(&mut self, line: Line) -> Option<u64> {
+        let pos = self.find(line)?;
+        Some(self.set(line).remove(pos).1)
+    }
+
+    fn peek(&mut self, line: Line) -> Option<u64> {
+        let pos = self.find(line)?;
+        Some(self.set(line)[pos].1)
+    }
+
+    /// Ascending set number, most-recently-used first within a set.
+    fn order(&self) -> Vec<(Line, u64)> {
+        self.sets.iter().flatten().copied().collect()
+    }
+}
+
+/// `CacheArray` against the naive true-LRU model on the L1, L2 and L3
+/// geometries of the default configuration: every insert evicts the
+/// same victim, and `contains`, `peek`, `peek_mut`, `touch`, `remove`,
+/// `len` and the `iter` order agree after every step. Lines come from a
+/// few hot sets (so sets fill and evict) plus a wide scatter (so many
+/// sets are touched once).
+#[test]
+fn cache_array_matches_true_lru_model() {
+    let mut rng = Xoshiro256::seed_from_u64(0xC0DE_0006);
+    let cfg = MemConfig::default();
+    for (bytes, assoc) in [
+        (cfg.l1_bytes, cfg.l1_assoc),
+        (cfg.l2_bytes, cfg.l2_assoc),
+        (cfg.l3_bytes_per_bank, cfg.l3_assoc),
+    ] {
+        let mut arr: CacheArray<u64> = CacheArray::new(bytes, assoc);
+        let mut model = LruModel::new(bytes, assoc);
+        let n_sets = arr.n_sets() as u64;
+        assert_eq!(n_sets, model.sets.len() as u64);
+        let hot: Vec<u64> = (0..6).map(|_| rng.gen_range_u64(0, n_sets)).collect();
+        for step in 0..6000u64 {
+            let line = if rng.gen_range_u64(0, 4) == 0 {
+                Line::from_raw(rng.gen_range_u64(0, 64 * n_sets))
+            } else {
+                let set = hot[rng.gen_range_usize(0, hot.len())];
+                Line::from_raw(set + n_sets * rng.gen_range_u64(0, 2 * assoc as u64))
+            };
+            match rng.gen_range_u64(0, 10) {
+                0..=4 => assert_eq!(arr.insert(line, step), model.insert(line, step)),
+                5 => assert_eq!(arr.touch(line), model.touch(line)),
+                6 => assert_eq!(arr.remove(line), model.remove(line)),
+                7 => {
+                    let want = model.peek(line);
+                    assert_eq!(arr.peek_mut(line).map(|v| *v), want);
+                    if let (Some(v), Some(pos)) = (arr.peek_mut(line), model.find(line)) {
+                        *v = step;
+                        model.set(line)[pos].1 = step;
+                    }
+                }
+                _ => {
+                    assert_eq!(arr.contains(line), model.find(line).is_some());
+                    assert_eq!(arr.peek(line).copied(), model.peek(line));
+                }
+            }
+            if step % 97 == 0 {
+                let got: Vec<(Line, u64)> = arr.iter().map(|(l, v)| (l, *v)).collect();
+                assert_eq!(got, model.order(), "iter order, {bytes} B, step {step}");
+            }
+            assert_eq!(arr.len(), model.order().len());
+        }
+        assert!(!arr.is_empty());
+    }
+}
+
 /// Events pop in nondecreasing cycle order, FIFO within a cycle.
 #[test]
 fn event_queue_ordering() {

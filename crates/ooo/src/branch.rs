@@ -6,11 +6,17 @@
 //! hit provides the prediction; allocation on mispredicts follows the
 //! classic TAGE policy (one new entry in a longer-history table with a
 //! weakly-correct counter).
+//!
+//! The tables are allocated by the first [`Tage::update`]. Until then
+//! every counter would read zero and no tag would match (tags are never
+//! zero), so [`Tage::predict`] answers "taken" without them: a trace
+//! without conditional branches never pays for 20 KB of tables.
 
 const BASE_BITS: usize = 12; // 4096-entry bimodal
 const TABLE_BITS: usize = 10; // 1024 entries per tagged table
 const TAG_BITS: u32 = 8;
 const HIST_LENGTHS: [u32; 4] = [8, 16, 32, 64];
+const TABLES: usize = HIST_LENGTHS.len();
 
 #[derive(Debug, Clone, Copy, Default)]
 struct TaggedEntry {
@@ -22,8 +28,11 @@ struct TaggedEntry {
 /// The predictor.
 #[derive(Debug)]
 pub struct Tage {
-    base: Vec<i8>, // 2-bit counters, -2..=1, taken when >= 0
-    tables: [Vec<TaggedEntry>; 4],
+    /// 2-bit counters, -2..=1, taken when >= 0. Empty, like `tagged`,
+    /// until the first update.
+    base: Vec<i8>,
+    /// The tagged tables back to back, `1 << TABLE_BITS` entries each.
+    tagged: Vec<TaggedEntry>,
     ghist: u64,
     predictions: u64,
     mispredicts: u64,
@@ -37,11 +46,12 @@ impl Default for Tage {
 }
 
 impl Tage {
-    /// Creates an empty predictor.
+    /// Creates an empty predictor; its tables are allocated by the
+    /// first update.
     pub fn new() -> Tage {
         Tage {
-            base: vec![0; 1 << BASE_BITS],
-            tables: std::array::from_fn(|_| vec![TaggedEntry::default(); 1 << TABLE_BITS]),
+            base: Vec::new(),
+            tagged: Vec::new(),
             ghist: 0,
             predictions: 0,
             mispredicts: 0,
@@ -65,9 +75,11 @@ impl Tage {
         folded
     }
 
+    /// Position of `pc`'s entry of tagged table `t` in `tagged`.
     fn index(&self, pc: u64, t: usize) -> usize {
         let h = Self::fold(self.ghist, HIST_LENGTHS[t], TABLE_BITS as u32);
-        (((pc >> 2) ^ (pc >> (5 + t as u64)) ^ h) as usize) & ((1 << TABLE_BITS) - 1)
+        let i = (((pc >> 2) ^ (pc >> (5 + t as u64)) ^ h) as usize) & ((1 << TABLE_BITS) - 1);
+        (t << TABLE_BITS) | i
     }
 
     fn tag(&self, pc: u64, t: usize) -> u16 {
@@ -81,8 +93,12 @@ impl Tage {
 
     /// Predicts the direction of the branch at `pc`.
     pub fn predict(&self, pc: u64) -> bool {
-        for t in (0..HIST_LENGTHS.len()).rev() {
-            let e = &self.tables[t][self.index(pc, t)];
+        if self.base.is_empty() {
+            // Untrained: a zero base counter, and no tag matches.
+            return true;
+        }
+        for t in (0..TABLES).rev() {
+            let e = &self.tagged[self.index(pc, t)];
             if e.tag == self.tag(pc, t) {
                 return e.ctr >= 0;
             }
@@ -95,6 +111,10 @@ impl Tage {
     pub fn update(&mut self, pc: u64, taken: bool) -> bool {
         let predicted = self.predict(pc);
         let correct = predicted == taken;
+        if self.base.is_empty() {
+            self.base = vec![0; 1 << BASE_BITS];
+            self.tagged = vec![TaggedEntry::default(); TABLES << TABLE_BITS];
+        }
         self.predictions += 1;
         if !correct {
             self.mispredicts += 1;
@@ -102,9 +122,9 @@ impl Tage {
 
         // Find the provider (longest hitting table).
         let mut provider: Option<usize> = None;
-        for t in (0..HIST_LENGTHS.len()).rev() {
+        for t in (0..TABLES).rev() {
             let idx = self.index(pc, t);
-            if self.tables[t][idx].tag == self.tag(pc, t) {
+            if self.tagged[idx].tag == self.tag(pc, t) {
                 provider = Some(t);
                 break;
             }
@@ -113,7 +133,7 @@ impl Tage {
         match provider {
             Some(t) => {
                 let idx = self.index(pc, t);
-                let e = &mut self.tables[t][idx];
+                let e = &mut self.tagged[idx];
                 e.ctr = (e.ctr + if taken { 1 } else { -1 }).clamp(-4, 3);
                 if correct {
                     e.useful = e.useful.saturating_add(1).min(3);
@@ -133,10 +153,10 @@ impl Tage {
             let start = provider.map_or(0, |t| t + 1);
             self.alloc_tick += 1;
             let mut allocated = false;
-            for t in start..HIST_LENGTHS.len() {
+            for t in start..TABLES {
                 let idx = self.index(pc, t);
                 let tag = self.tag(pc, t);
-                let e = &mut self.tables[t][idx];
+                let e = &mut self.tagged[idx];
                 if e.useful == 0 {
                     *e = TaggedEntry {
                         tag,
@@ -149,9 +169,9 @@ impl Tage {
             }
             if !allocated && self.alloc_tick.is_multiple_of(8) {
                 // Gracefully age useful bits so allocation can't starve.
-                for t in start..HIST_LENGTHS.len() {
+                for t in start..TABLES {
                     let idx = self.index(pc, t);
-                    let e = &mut self.tables[t][idx];
+                    let e = &mut self.tagged[idx];
                     if e.useful > 0 {
                         e.useful -= 1;
                     }

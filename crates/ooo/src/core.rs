@@ -424,7 +424,7 @@ impl Core {
             merge(t);
         }
         if let Some(h) = self.sq.head_slot() {
-            if let Some(t) = self.sq.committing_done[h] {
+            if let Some(t) = self.sq.entry[h].committing_done {
                 merge(t);
             }
         }
@@ -433,7 +433,7 @@ impl Core {
         }
         if let Some(h) = self.rob.head_slot() {
             if self.rob.state[h] == RobState::Done {
-                merge(self.rob.done_at[h]);
+                merge(self.rob.entry[h].done_at);
             }
         }
         next
@@ -484,7 +484,7 @@ impl Core {
                     if let Some(sqi) = self.pending_owns.remove(&id) {
                         self.progress = true;
                         if let Some(slot) = self.sq.live_slot(sqi) {
-                            self.sq.own_req[slot] = None; // drain re-checks has_ownership
+                            self.sq.entry[slot].own_req = None; // drain re-checks has_ownership
                         }
                     }
                 }
@@ -535,16 +535,16 @@ impl Core {
         let m_spec = self.lq.any_unperformed_before(pos);
         debug_assert!(matches!(self.lq.state_at(slot), LoadState::Issued(_)));
         self.lq.set_state_at(slot, LoadState::Performed);
-        self.lq.performed_at[slot] = now;
-        let addr = self.lq.addr[slot];
-        let value = valmem.read(addr, self.lq.size[slot]);
-        self.lq.value[slot] = value;
-        self.lq.m_spec[slot] = m_spec;
+        self.lq.entry[slot].performed_at = now;
+        let addr = self.lq.entry[slot].addr;
+        let value = valmem.read(addr, self.lq.entry[slot].size);
+        self.lq.entry[slot].value = value;
+        self.lq.entry[slot].m_spec = m_spec;
         let rid = self.lq.rob[slot];
         let rslot = self.rob.live_slot(rid).expect("load still in ROB");
         self.rob.set_state_at(rslot, RobState::Done);
-        self.rob.done_at[rslot] = now;
-        self.rob.result[rslot] = value;
+        self.rob.entry[rslot].done_at = now;
+        self.rob.entry[rslot].result = value;
         let cid = self.id;
         tracer.emit(|| TraceEvent {
             cycle: now,
@@ -586,11 +586,13 @@ impl Core {
                     // SC-like: the SLF load itself is speculative while
                     // older stores linger, and so is anything younger
                     // than a speculative SLF load.
-                    let self_spec = self.lq.fwd_from[slot].is_some() && self.sq.any_older(rid);
+                    let self_spec =
+                        self.lq.entry[slot].fwd_from.is_some() && self.sq.any_older(rid);
                     self_spec
                         || (0..pos).any(|p| {
                             let os = self.lq.phys(p);
-                            self.lq.fwd_from[os].is_some() && self.sq.any_older(self.lq.rob[os])
+                            self.lq.entry[os].fwd_from.is_some()
+                                && self.sq.any_older(self.lq.rob[os])
                         })
                 }
                 ConsistencyModel::Ibm370SlfSos | ConsistencyModel::Ibm370SlfSosKey => {
@@ -676,12 +678,12 @@ impl Core {
         // start in order with a uniform latency, so done-times are
         // monotonic — TSO's store order to memory).
         while let Some(h) = self.sq.head_slot() {
-            if self.sq.committing_done[h].is_none_or(|t| t > now) {
+            if self.sq.entry[h].committing_done.is_none_or(|t| t > now) {
                 break;
             }
             let addr = self.sq.addr[h];
             let size = self.sq.size[h];
-            let value = self.sq.value[h].expect("committed store has data");
+            let value = self.sq.entry[h].value.expect("committed store has data");
             let key = self.sq.key_at(h);
             self.sq.pop_head();
             self.lsq_epoch += 1;
@@ -756,16 +758,17 @@ impl Core {
         let mut prev_done: Cycle = 0;
         if nc < self.sq.sb_depth() && (self.cfg.commit_pipelined || nc == 0) {
             let s = self.sq.phys(nc);
-            debug_assert!(self.sq.retired_at(s) && self.sq.committing_done[s].is_none());
+            debug_assert!(self.sq.retired_at(s) && self.sq.entry[s].committing_done.is_none());
             debug_assert!(
                 self.sq.executed_at(s),
                 "retired store missing address or data"
             );
             if nc > 0 {
-                prev_done = self.sq.committing_done[self.sq.phys(nc - 1)]
+                prev_done = self.sq.entry[self.sq.phys(nc - 1)]
+                    .committing_done
                     .expect("committing prefix is dense");
             }
-            start = Some((s, self.sq.line[s], self.sq.own_req[s].is_none()));
+            start = Some((s, self.sq.line[s], self.sq.entry[s].own_req.is_none()));
         }
         if let Some((slot, line, no_req)) = start {
             let stamp = mem.reject_epoch();
@@ -776,7 +779,7 @@ impl Core {
                 mem.mark_dirty(line);
                 let done = (now + l1).max(prev_done + 1);
                 self.sq.start_commit_at(slot, done);
-                self.sq.own_req[slot] = None;
+                self.sq.entry[slot].own_req = None;
             } else {
                 if let Some(e) = stamp {
                     self.sq_unowned_stamp[slot] = e;
@@ -791,7 +794,7 @@ impl Core {
                     if stamp.is_some() && stamp == Some(self.sq_own_reject_stamp[slot]) {
                         mem.note_rejected_issues(1);
                     } else if let Some(req) = mem.issue_ownership(line, now) {
-                        self.sq.own_req[slot] = Some(req);
+                        self.sq.entry[slot].own_req = Some(req);
                         self.pending_owns.insert(req, self.sq.idx_at_slot(slot));
                         tracer.emit(|| TraceEvent {
                             cycle: now,
@@ -823,8 +826,8 @@ impl Core {
             }
             let s = self.sq.phys(pos);
             if !(self.sq.addr_resolved_at(s)
-                && self.sq.own_req[s].is_none()
-                && self.sq.committing_done[s].is_none())
+                && self.sq.entry[s].own_req.is_none()
+                && self.sq.entry[s].committing_done.is_none())
             {
                 continue;
             }
@@ -849,7 +852,7 @@ impl Core {
                 continue;
             }
             if let Some(req) = mem.issue_ownership(line, now) {
-                self.sq.own_req[s] = Some(req);
+                self.sq.entry[s].own_req = Some(req);
                 self.pending_owns.insert(req, self.sq.idx_at_slot(s));
                 rfos += 1;
                 tracer.emit(|| TraceEvent {
@@ -874,7 +877,7 @@ impl Core {
         self.drain_wake = self
             .sq
             .head_slot()
-            .and_then(|h| self.sq.committing_done[h])
+            .and_then(|h| self.sq.entry[h].committing_done)
             .unwrap_or(Cycle::MAX);
     }
 
@@ -897,7 +900,7 @@ impl Core {
             }
             self.progress = true;
             self.rob.set_state_at(slot, RobState::Done);
-            self.rob.done_at[slot] = t;
+            self.rob.entry[slot].done_at = t;
             tracer.emit(|| TraceEvent {
                 cycle: now,
                 core: cid,
@@ -905,7 +908,7 @@ impl Core {
             });
             if let RobKind::Branch {
                 mispredicted: true, ..
-            } = self.rob.kind[slot]
+            } = self.rob.entry[slot].kind
             {
                 self.fetch_resume = now + self.cfg.redirect_penalty;
                 self.resume_was_squash = false;
@@ -933,8 +936,8 @@ impl Core {
                 seq: self.rob.seq[hs],
                 slot: hs as u32,
             };
-            let kind = self.rob.kind[hs];
-            if self.rob.state[hs] != RobState::Done || self.rob.done_at[hs] > now {
+            let kind = self.rob.entry[hs].kind;
+            if self.rob.state[hs] != RobState::Done || self.rob.entry[hs].done_at > now {
                 stall = Some(self.head_wait_category(kind));
                 break;
             }
@@ -1077,7 +1080,7 @@ impl Core {
         // 370-SLFSpec: an SLF load is speculative and may not retire
         // until the store buffer empties.
         if self.model == ConsistencyModel::Ibm370SlfSpec {
-            let fwd = self.lq.fwd_from[slot].is_some();
+            let fwd = self.lq.entry[slot].fwd_from.is_some();
             if fwd && self.sq.sb_nonempty() {
                 self.stats.slfspec_stall_cycles += 1;
                 self.idle_slfspec_stall = true;
@@ -1085,7 +1088,7 @@ impl Core {
             }
         }
         self.gate_stall_cur = None;
-        let fwd_from = self.lq.fwd_from[slot];
+        let fwd_from = self.lq.entry[slot].fwd_from;
         let slf_key = self.lq.slf_key_at(slot);
         self.lq.retire_head(id);
         if fwd_from.is_some() {
@@ -1123,9 +1126,9 @@ impl Core {
             seq: self.rob.seq[hs],
             slot: hs as u32,
         };
-        let dst = self.rob.dst[hs];
-        let result = self.rob.result[hs];
-        let kind = self.rob.kind[hs];
+        let dst = self.rob.entry[hs].dst;
+        let result = self.rob.entry[hs].result;
+        let kind = self.rob.entry[hs].kind;
         self.rob.pop_front();
         self.sched_start = self.sched_start.saturating_sub(1);
         if let Some(dst) = dst {
@@ -1152,12 +1155,12 @@ impl Core {
 
     /// Source operand `i` of the micro-op in ROB `slot`, read at issue.
     fn read_src(&self, slot: usize, i: usize) -> Value {
-        let Some(r) = self.rob.src_regs[slot][i] else {
+        let Some(r) = self.rob.entry[slot].src_regs[i] else {
             return 0;
         };
-        match self.rob.deps[slot][i] {
+        match self.rob.entry[slot].deps[i] {
             Some(pid) => match self.rob.live_slot(pid) {
-                Some(ps) => self.rob.result[ps],
+                Some(ps) => self.rob.entry[ps].result,
                 None => self.arch_regs[r.index()], // producer retired
             },
             None => self.arch_regs[r.index()],
@@ -1165,7 +1168,7 @@ impl Core {
     }
 
     fn deps_ready(&self, slot: usize) -> [bool; 2] {
-        let deps = self.rob.deps[slot];
+        let deps = self.rob.entry[slot].deps;
         [
             deps[0].is_none_or(|d| self.rob.dep_satisfied(d)),
             deps[1].is_none_or(|d| self.rob.dep_satisfied(d)),
@@ -1210,14 +1213,14 @@ impl Core {
                 slot: slot as u32,
             };
             let ready = self.deps_ready(slot);
-            match self.rob.kind[slot] {
+            match self.rob.entry[slot].kind {
                 RobKind::Alu { unit, eval } => {
                     if ready[0] && ready[1] {
                         let vals = [self.read_src(slot, 0), self.read_src(slot, 1)];
-                        let n_srcs = self.rob.src_regs[slot].iter().flatten().count();
+                        let n_srcs = self.rob.entry[slot].src_regs.iter().flatten().count();
                         let result = eval.eval(&vals[..n_srcs]);
                         self.rob.set_state_at(slot, RobState::Executing);
-                        self.rob.result[slot] = result;
+                        self.rob.entry[slot].result = result;
                         self.completion_q
                             .push(Reverse((now + u64::from(unit.latency()), id)));
                         issued += 1;
@@ -1282,15 +1285,15 @@ impl Core {
                     // triggered by the address resolution only removes
                     // entries younger than this store, so `slot`/`ss`
                     // stay valid.
-                    if self.sq.value[ss].is_none() && ready[0] {
+                    if self.sq.entry[ss].value.is_none() && ready[0] {
                         let v = self.read_src(slot, 0);
-                        self.sq.value[ss] = Some(v);
+                        self.sq.entry[ss].value = Some(v);
                         self.sq_dirty = true;
                         progressed = true;
                     }
                     if self.sq.executed_at(ss) {
                         self.rob.set_state_at(slot, RobState::Done);
-                        self.rob.done_at[slot] = now + 1;
+                        self.rob.entry[slot].done_at = now + 1;
                         self.progress = true;
                         tracer.emit(|| TraceEvent {
                             cycle: now,
@@ -1313,7 +1316,7 @@ impl Core {
                         // resolution); a captured-but-incomplete store
                         // waits for its other operand's armed wake.
                         let can = (ready[1] && !self.sq.addr_resolved_at(ss))
-                            || (ready[0] && self.sq.value[ss].is_none());
+                            || (ready[0] && self.sq.entry[ss].value.is_none());
                         if !can {
                             self.rob.clear_ready(slot);
                         }
@@ -1357,8 +1360,8 @@ impl Core {
                         if load_ports == 0 {
                             break;
                         }
-                        if self.lq.attempt_epoch[s] == epoch
-                            && mem.reject_epoch() == Some(self.lq.reject_stamp[s])
+                        if self.lq.entry[s].attempt_epoch == epoch
+                            && mem.reject_epoch() == Some(self.lq.entry[s].reject_stamp)
                         {
                             pending_rejects += 1;
                             continue;
@@ -1370,13 +1373,13 @@ impl Core {
                     // invalidation) already happened.
                     LoadState::Blocked(BlockReason::Replay) => true,
                     LoadState::Blocked(BlockReason::ForwardData(st)) => {
-                        self.lq.attempt_epoch[s] != epoch
+                        self.lq.entry[s].attempt_epoch != epoch
                             || self
                                 .sq
                                 .live_slot(st)
-                                .is_some_and(|x| self.sq.value[x].is_some())
+                                .is_some_and(|x| self.sq.entry[x].value.is_some())
                     }
-                    LoadState::Blocked(_) => self.lq.attempt_epoch[s] != epoch,
+                    LoadState::Blocked(_) => self.lq.entry[s].attempt_epoch != epoch,
                     _ => unreachable!("blocked bitset holds only Blocked entries"),
                 };
                 if !take {
@@ -1418,7 +1421,7 @@ impl Core {
         let sslot = self.sq.live_slot(sq).expect("resolving store");
         self.sq.resolve_addr_at(sslot);
         let store_rob = self.sq.rob[sslot];
-        let store_pc = self.sq.pc[sslot];
+        let store_pc = self.sq.entry[sslot].pc;
         let addr = self.sq.addr[sslot];
         let size = self.sq.size[sslot];
         self.ss.store_resolved(store_pc);
@@ -1438,14 +1441,14 @@ impl Core {
             if !performed_or_issued {
                 continue;
             }
-            if !sa_isa::addr::overlaps(addr, size, self.lq.addr[s], self.lq.size[s]) {
+            if !sa_isa::addr::overlaps(addr, size, self.lq.entry[s].addr, self.lq.entry[s].size) {
                 continue;
             }
             // A load correctly forwarded from this store or a younger one
             // is fine; anything else read stale data.
-            let ok = self.lq.fwd_from[s].is_some_and(|f| f >= sq);
+            let ok = self.lq.entry[s].fwd_from.is_some_and(|f| f >= sq);
             if !ok {
-                victim = Some((rid, self.lq.pc[s]));
+                victim = Some((rid, self.lq.entry[s].pc));
                 break;
             }
         }
@@ -1466,24 +1469,24 @@ impl Core {
     ) -> bool {
         let slot = self.lq.live_slot(lqi).expect("load in LQ");
         let prev_state = self.lq.state_at(slot);
-        let attempt_epoch = self.lq.attempt_epoch[slot];
+        let attempt_epoch = self.lq.entry[slot].attempt_epoch;
         // Cheapest exit first: a memoized re-rejection needs no other
         // column (see below) — book it before touching the rest of the
         // entry's cache lines.
         if prev_state == LoadState::Blocked(BlockReason::MshrFull)
             && attempt_epoch == self.lsq_epoch
-            && mem.reject_epoch() == Some(self.lq.reject_stamp[slot])
+            && mem.reject_epoch() == Some(self.lq.entry[slot].reject_stamp)
         {
             mem.note_rejected_issues(1);
             self.progress = true;
             return false;
         }
         let id = self.lq.rob[slot];
-        let pc = self.lq.pc[slot];
-        let addr = self.lq.addr[slot];
-        let size = self.lq.size[slot];
+        let pc = self.lq.entry[slot].pc;
+        let addr = self.lq.entry[slot].addr;
+        let size = self.lq.entry[slot].size;
         let line = self.lq.line[slot];
-        let miss_passed_unresolved = self.lq.miss_passed_unresolved[slot];
+        let miss_passed_unresolved = self.lq.entry[slot].miss_passed_unresolved;
         let was_blocked = matches!(prev_state, LoadState::Blocked(_));
         let set_blocked = move |core: &mut Core, reason: BlockReason| {
             if !was_blocked {
@@ -1496,7 +1499,7 @@ impl Core {
                 core.progress = true;
             }
             core.lq.set_state_at(slot, LoadState::Blocked(reason));
-            core.lq.attempt_epoch[slot] = core.lsq_epoch;
+            core.lq.entry[slot].attempt_epoch = core.lsq_epoch;
         };
 
         // Fast path: an `MshrFull` retry under an unchanged LSQ epoch
@@ -1515,7 +1518,7 @@ impl Core {
                     // Same rejection: request id and reject counter
                     // moved again.
                     if let Some(e) = mem.reject_epoch() {
-                        self.lq.reject_stamp[slot] = e;
+                        self.lq.entry[slot].reject_stamp = e;
                     }
                     self.progress = true;
                     false
@@ -1540,7 +1543,7 @@ impl Core {
                             break;
                         }
                         if !self.sq.addr_resolved_at(s)
-                            && self.ss.set_of(self.sq.pc[s]) == Some(set)
+                            && self.ss.set_of(self.sq.entry[s].pc) == Some(set)
                         {
                             found = true;
                             break;
@@ -1574,7 +1577,7 @@ impl Core {
                     return false;
                 }
                 let sslot = self.sq.live_slot(store).expect("matched store");
-                let Some(sval) = self.sq.value[sslot] else {
+                let Some(sval) = self.sq.entry[sslot].value else {
                     set_blocked(self, BlockReason::ForwardData(store));
                     return false;
                 };
@@ -1588,15 +1591,15 @@ impl Core {
                 let pos = self.lq.pos_of(lqi).expect("live load");
                 let m_spec = self.lq.any_unperformed_before(pos);
                 self.lq.set_state_at(slot, LoadState::Performed);
-                self.lq.performed_at[slot] = now + 1;
-                self.lq.value[slot] = value;
-                self.lq.fwd_from[slot] = Some(store);
+                self.lq.entry[slot].performed_at = now + 1;
+                self.lq.entry[slot].value = value;
+                self.lq.entry[slot].fwd_from = Some(store);
                 self.lq.set_slf_key_at(slot, key);
-                self.lq.d_spec[slot] = passed_unresolved;
-                self.lq.m_spec[slot] = m_spec;
+                self.lq.entry[slot].d_spec = passed_unresolved;
+                self.lq.entry[slot].m_spec = m_spec;
                 let rslot = self.rob.live_slot(id).expect("load in ROB");
                 self.rob.set_state_at(rslot, RobState::Executing);
-                self.rob.result[rslot] = value;
+                self.rob.entry[rslot].result = value;
                 self.completion_q.push(Reverse((now + 1, id)));
                 let cid = self.id;
                 tracer.emit(|| TraceEvent {
@@ -1626,9 +1629,9 @@ impl Core {
                     // stay awake and retry every cycle, as in lockstep.
                     self.progress = true;
                     set_blocked(self, BlockReason::MshrFull);
-                    self.lq.miss_passed_unresolved[slot] = passed_unresolved;
+                    self.lq.entry[slot].miss_passed_unresolved = passed_unresolved;
                     if let Some(e) = mem.reject_epoch() {
-                        self.lq.reject_stamp[slot] = e;
+                        self.lq.entry[slot].reject_stamp = e;
                     }
                     false
                 }
@@ -1656,7 +1659,7 @@ impl Core {
         self.stats.loads_to_memory += 1;
         let slot = lqi.slot as usize;
         self.lq.set_state_at(slot, LoadState::Issued(req));
-        self.lq.d_spec[slot] = passed_unresolved;
+        self.lq.entry[slot].d_spec = passed_unresolved;
         let line = self.lq.line[slot];
         let cid = self.id;
         tracer.emit(|| TraceEvent {
@@ -1728,7 +1731,6 @@ impl Core {
         let pc = instr.pc;
         let mut uop = RobUop {
             trace_idx: self.fetch_idx,
-            pc,
             kind: RobKind::Nop,
             dst: instr.op.dst(),
             deps: [None, None],
@@ -1835,7 +1837,7 @@ impl Core {
                 dst, addr, size, ..
             } => {
                 let lqi = self.lq.alloc(id, pc.0, *addr, *size);
-                self.rob.kind[rslot] = RobKind::Load { lq: lqi };
+                self.rob.entry[rslot].kind = RobKind::Load { lq: lqi };
                 let _ = dst;
             }
             Op::Store {
@@ -1854,10 +1856,10 @@ impl Core {
                 self.sq_unowned_stamp[sqi.slot as usize] = u64::MAX;
                 self.sq_own_reject_stamp[sqi.slot as usize] = u64::MAX;
                 self.sq_dirty = true;
-                self.rob.kind[rslot] = RobKind::Store { sq: sqi };
+                self.rob.entry[rslot].kind = RobKind::Store { sq: sqi };
                 if addr_resolved && value.is_some() {
                     self.rob.set_state_at(rslot, RobState::Done);
-                    self.rob.done_at[rslot] = now;
+                    self.rob.entry[rslot].done_at = now;
                 }
             }
             Op::Fence => {
@@ -1875,14 +1877,14 @@ impl Core {
         // one armed wake and can never be stranded.
         if self.rob.state[rslot] == RobState::Waiting {
             let rd = self.deps_ready(rslot);
-            let deps = self.rob.deps[rslot];
-            let (ready, arm0, arm1) = match self.rob.kind[rslot] {
+            let deps = self.rob.entry[rslot].deps;
+            let (ready, arm0, arm1) = match self.rob.entry[rslot].kind {
                 RobKind::Alu { .. } => (rd[0] && rd[1], !rd[0], !rd[1]),
                 RobKind::Branch { .. } | RobKind::Load { .. } => (rd[0], !rd[0], false),
                 RobKind::Store { sq } => {
                     let ss = self.sq.live_slot(sq).expect("store just allocated");
                     let can = (rd[1] && !self.sq.addr_resolved_at(ss))
-                        || (rd[0] && self.sq.value[ss].is_none());
+                        || (rd[0] && self.sq.entry[ss].value.is_none());
                     (can, !rd[0], !rd[1])
                 }
                 RobKind::Fence | RobKind::Nop => (false, false, false),
@@ -1927,7 +1929,7 @@ impl Core {
         if !self.rob.contains(from) {
             return;
         }
-        let replay_trace_idx = self.rob.trace_idx[from.slot as usize];
+        let replay_trace_idx = self.rob.entry[from.slot as usize].trace_idx;
         let n_removed = self.rob.squash_from(from);
         debug_assert!(n_removed > 0);
         self.sched_start = self.sched_start.min(self.rob.len());
@@ -1978,7 +1980,7 @@ impl Core {
         let scut = self.sq.cut_pos(from);
         for pos in scut..self.sq.len() {
             let s = self.sq.phys(pos);
-            if let Some(req) = self.sq.own_req[s] {
+            if let Some(req) = self.sq.entry[s].own_req {
                 self.pending_owns.remove(&req);
             }
         }
@@ -1987,7 +1989,7 @@ impl Core {
         self.reg_producer = [None; NUM_REGS];
         for pos in 0..self.rob.len() {
             let s = self.rob.phys(pos);
-            if let Some(dst) = self.rob.dst[s] {
+            if let Some(dst) = self.rob.entry[s].dst {
                 self.reg_producer[dst.index()] = Some(RobIdx {
                     seq: self.rob.seq[s],
                     slot: s as u32,

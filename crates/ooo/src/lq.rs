@@ -6,11 +6,13 @@
 //! *why* a performed load is squashable when an invalidation or eviction
 //! snoops the queue.
 //!
-//! Entries live in parallel columns over a circular slot array, named by
-//! generation-tagged [`LqIdx`] handles (same scheme as the ROB). The
-//! snoop probe walks the dense `line`/`state` columns, and the
-//! any-older-unperformed prefix query reads a word-scanned *performed
-//! bitset* instead of striding over entry structs.
+//! Entries live in parallel columns over a circular slot array sized
+//! exactly to the capacity, named by generation-tagged [`LqIdx`] handles
+//! (same scheme as the ROB). The snoop probe walks the dense
+//! `line`/`state` columns, and the any-older-unperformed prefix query
+//! reads a word-scanned *performed bitset* instead of striding over
+//! entry structs. The fields only an entry's own execution, retry or
+//! ordering check reads share one `LoadEntry` column.
 
 use sa_coherence::MemReqId;
 use sa_isa::{Addr, Cycle, Line, Value};
@@ -64,17 +66,34 @@ pub enum LoadState {
     Performed,
 }
 
+/// Per-load fields outside the scanned columns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoadEntry {
+    pub(crate) pc: u64,
+    pub(crate) addr: Addr,
+    pub(crate) value: Value,
+    pub(crate) performed_at: Cycle,
+    pub(crate) attempt_epoch: u64,
+    /// Memory-side version stamp captured when this load's issue was
+    /// MSHR-rejected; while the port's stamp is unchanged, a retry is
+    /// guaranteed to reject identically and is booked without re-probing.
+    pub(crate) reject_stamp: u64,
+    pub(crate) fwd_from: Option<SqIdx>,
+    pub(crate) size: u8,
+    pub(crate) m_spec: bool,
+    pub(crate) d_spec: bool,
+    pub(crate) miss_passed_unresolved: bool,
+}
+
 /// The load queue: a bounded, age-ordered circular buffer over
 /// struct-of-arrays columns.
 #[derive(Debug)]
 pub struct LoadQueue {
-    /// Physical-ring mask (power-of-two ring size − 1).
-    mask: usize,
     /// Physical slot of the oldest entry.
     head: usize,
     /// Occupied entries.
     len: usize,
-    /// Architectural capacity.
+    /// Capacity, which is also the ring's slot count.
     capacity: usize,
     next_seq: u64,
     /// Live entries whose `slf_key` is set — lets the SA shadow test
@@ -83,23 +102,10 @@ pub struct LoadQueue {
     // --- parallel columns, indexed by physical slot ---
     pub(crate) seq: Vec<u64>,
     pub(crate) rob: Vec<RobIdx>,
-    pub(crate) pc: Vec<u64>,
-    pub(crate) addr: Vec<Addr>,
-    pub(crate) size: Vec<u8>,
     pub(crate) line: Vec<Line>,
     state: Vec<LoadState>,
-    pub(crate) value: Vec<Value>,
-    pub(crate) performed_at: Vec<Cycle>,
-    pub(crate) fwd_from: Vec<Option<SqIdx>>,
     slf_key: Vec<Option<Key>>,
-    pub(crate) m_spec: Vec<bool>,
-    pub(crate) d_spec: Vec<bool>,
-    pub(crate) attempt_epoch: Vec<u64>,
-    pub(crate) miss_passed_unresolved: Vec<bool>,
-    /// Memory-side version stamp captured when this load's issue was
-    /// MSHR-rejected; while the port's stamp is unchanged, a retry is
-    /// guaranteed to reject identically and is booked without re-probing.
-    pub(crate) reject_stamp: Vec<u64>,
+    pub(crate) entry: Vec<LoadEntry>,
     /// One bit per physical slot: set iff the slot holds a live entry in
     /// [`LoadState::Performed`]. The any-older-unperformed query reduces
     /// to "any zero bit over the prefix's slot range", scanned a word at
@@ -111,35 +117,49 @@ pub struct LoadQueue {
     blocked: Vec<u64>,
 }
 
+impl LoadEntry {
+    const EMPTY: LoadEntry = LoadEntry {
+        pc: 0,
+        addr: 0,
+        value: 0,
+        performed_at: 0,
+        attempt_epoch: 0,
+        reject_stamp: 0,
+        fwd_from: None,
+        size: 0,
+        m_spec: false,
+        d_spec: false,
+        miss_passed_unresolved: false,
+    };
+}
+
 impl LoadQueue {
     /// An empty LQ of `capacity` entries.
     pub fn new(capacity: usize) -> LoadQueue {
-        let phys = capacity.next_power_of_two().max(64);
         LoadQueue {
-            mask: phys - 1,
             head: 0,
             len: 0,
             capacity,
             next_seq: 0,
             slf_live: 0,
-            seq: vec![0; phys],
-            rob: vec![RobIdx { seq: 0, slot: 0 }; phys],
-            pc: vec![0; phys],
-            addr: vec![0; phys],
-            size: vec![0; phys],
-            line: vec![Line::containing(0); phys],
-            state: vec![LoadState::WaitDeps; phys],
-            value: vec![0; phys],
-            performed_at: vec![0; phys],
-            fwd_from: vec![None; phys],
-            slf_key: vec![None; phys],
-            m_spec: vec![false; phys],
-            d_spec: vec![false; phys],
-            attempt_epoch: vec![0; phys],
-            miss_passed_unresolved: vec![false; phys],
-            reject_stamp: vec![0; phys],
-            performed: vec![0; phys / 64],
-            blocked: vec![0; phys / 64],
+            seq: vec![0; capacity],
+            rob: vec![RobIdx { seq: 0, slot: 0 }; capacity],
+            line: vec![Line::containing(0); capacity],
+            state: vec![LoadState::WaitDeps; capacity],
+            slf_key: vec![None; capacity],
+            entry: vec![LoadEntry::EMPTY; capacity],
+            performed: vec![0; capacity.div_ceil(64)],
+            blocked: vec![0; capacity.div_ceil(64)],
+        }
+    }
+
+    /// Physical slot of ring index `i < 2 * capacity`.
+    #[inline]
+    fn wrap(&self, i: usize) -> usize {
+        if i >= self.capacity {
+            i - self.capacity
+        } else {
+            i
         }
     }
 
@@ -161,14 +181,18 @@ impl LoadQueue {
     /// Physical slot of queue position `pos` (0 = oldest); `pos < len`.
     #[inline]
     pub(crate) fn phys(&self, pos: usize) -> usize {
-        (self.head + pos) & self.mask
+        self.wrap(self.head + pos)
     }
 
     /// Queue position of a live handle, `None` when stale.
     #[inline]
     pub fn pos_of(&self, idx: LqIdx) -> Option<usize> {
         let slot = idx.slot as usize;
-        let pos = slot.wrapping_sub(self.head) & self.mask;
+        let pos = if slot >= self.head {
+            slot - self.head
+        } else {
+            slot + self.capacity - self.head
+        };
         (pos < self.len && self.seq[slot] == idx.seq).then_some(pos)
     }
 
@@ -199,26 +223,21 @@ impl LoadQueue {
     /// Panics when full — the dispatcher must check [`LoadQueue::is_full`].
     pub fn alloc(&mut self, rob: RobIdx, pc: u64, addr: Addr, size: u8) -> LqIdx {
         assert!(!self.is_full(), "LQ overflow");
-        let slot = (self.head + self.len) & self.mask;
+        let slot = self.wrap(self.head + self.len);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
         self.seq[slot] = seq;
         self.rob[slot] = rob;
-        self.pc[slot] = pc;
-        self.addr[slot] = addr;
-        self.size[slot] = size;
         self.line[slot] = Line::containing(addr);
         self.state[slot] = LoadState::WaitDeps;
-        self.value[slot] = 0;
-        self.performed_at[slot] = 0;
-        self.fwd_from[slot] = None;
         self.slf_key[slot] = None;
-        self.m_spec[slot] = false;
-        self.d_spec[slot] = false;
-        self.attempt_epoch[slot] = 0;
-        self.miss_passed_unresolved[slot] = false;
-        self.reject_stamp[slot] = 0;
+        self.entry[slot] = LoadEntry {
+            pc,
+            addr,
+            size,
+            ..LoadEntry::EMPTY
+        };
         self.performed[slot / 64] &= !(1u64 << (slot % 64));
         self.blocked[slot / 64] &= !(1u64 << (slot % 64));
         LqIdx {
@@ -264,7 +283,7 @@ impl LoadQueue {
         if self.len == 0 {
             return;
         }
-        let phys = self.mask + 1;
+        let phys = self.capacity;
         let lo = self.head;
         let seg1 = (lo, (lo + self.len).min(phys));
         let seg2 = (0, (lo + self.len).saturating_sub(phys));
@@ -337,7 +356,7 @@ impl LoadQueue {
         assert!(self.len > 0, "retiring from empty LQ");
         assert_eq!(self.rob[self.head], rob, "LQ retirement out of order");
         self.free_slot(self.head);
-        self.head = (self.head + 1) & self.mask;
+        self.head = self.wrap(self.head + 1);
         self.len -= 1;
     }
 
@@ -376,11 +395,11 @@ impl LoadQueue {
     /// performed — a word-scanned prefix query on the performed bitset.
     pub(crate) fn any_unperformed_before(&self, pos: usize) -> bool {
         let end = self.head + pos;
-        if end <= self.mask + 1 {
+        if end <= self.capacity {
             Self::range_has_zero(&self.performed, self.head, end)
         } else {
-            Self::range_has_zero(&self.performed, self.head, self.mask + 1)
-                || Self::range_has_zero(&self.performed, 0, end & self.mask)
+            Self::range_has_zero(&self.performed, self.head, self.capacity)
+                || Self::range_has_zero(&self.performed, 0, end - self.capacity)
         }
     }
 
@@ -465,7 +484,7 @@ mod tests {
         let a = q.alloc(rid(3), 0x400, 0x100, 8);
         let b = q.alloc(rid(7), 0x404, 0x108, 8);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.addr[a.slot as usize], 0x100);
+        assert_eq!(q.entry[a.slot as usize].addr, 0x100);
         assert_eq!(q.line[b.slot as usize], Line::containing(0x108));
         assert!(q.contains(a));
         assert_eq!(q.pos_of(b), Some(1));
@@ -543,8 +562,8 @@ mod tests {
 
     #[test]
     fn performed_bitset_tracks_ring_wraparound() {
-        // Capacity 4, ring 64: exercise head movement so prefix queries
-        // span slot ranges that are not `[0, len)`.
+        // Capacity 4: exercise head movement so prefix queries span
+        // slot ranges that are not `[0, len)`.
         let mut q = LoadQueue::new(4);
         for i in 0..100u64 {
             let h = q.alloc(rid(i), 0, 0x100 + i * 8, 8);

@@ -1,16 +1,20 @@
 //! The reorder buffer, stored struct-of-arrays.
 //!
-//! Entries live in parallel columns over one circular slot array; the
-//! scheduler's wake-up scan reads the dense `state` column instead of
-//! striding over fat entry structs. Entities are named by
-//! generation-tagged handles ([`RobIdx`]): the `seq` half is the
-//! monotonic, never-reused dynamic-instruction id (so handles order by
-//! age and a stale in-flight memory response can never be mistaken for a
-//! replayed instruction's), and the `slot` half locates the entry's
-//! physical slot in O(1) — a handle is live iff the slot is occupied and
-//! its `seq` column still matches.
+//! Entries live in parallel columns over one circular slot array sized
+//! exactly to the architectural capacity; the scheduler's wake-up scan
+//! reads the dense `state` column and flag bitsets instead of striding
+//! over fat entry structs. What one entry's visit reads (kind, operands,
+//! timing, value) sits together in one `RobEntry` column, and wake lists
+//! share one node arena, so a new ROB is a handful of allocations.
+//!
+//! Entities are named by generation-tagged handles ([`RobIdx`]): the
+//! `seq` half is the monotonic, never-reused dynamic-instruction id (so
+//! handles order by age and a stale in-flight memory response can never
+//! be mistaken for a replayed instruction's), and the `slot` half
+//! locates the entry's physical slot in O(1) — a handle is live iff the
+//! slot is occupied and its `seq` column still matches.
 
-use sa_isa::{AluEval, Cycle, ExecUnit, Pc, Reg, Value};
+use sa_isa::{AluEval, Cycle, ExecUnit, Reg, Value};
 
 use crate::lq::LqIdx;
 use crate::sq::SqIdx;
@@ -77,8 +81,6 @@ pub enum RobKind {
 pub struct RobUop {
     /// Position in the core's trace (for replay after squash).
     pub trace_idx: usize,
-    /// Program counter.
-    pub pc: Pc,
     /// Micro-op class.
     pub kind: RobKind,
     /// Destination register.
@@ -94,38 +96,44 @@ pub struct RobUop {
     pub done_at: Cycle,
 }
 
-/// The reorder buffer: a bounded circular window over struct-of-arrays
-/// columns, with O(1) handle lookup and suffix squash.
-#[derive(Debug)]
-pub struct Rob {
-    /// Physical-ring mask (`columns.len() - 1`, a power of two).
-    mask: usize,
-    /// Physical slot of the oldest entry.
-    head: usize,
-    /// Occupied entries.
-    len: usize,
-    /// Architectural capacity (≤ physical ring size).
-    capacity: usize,
-    next_seq: u64,
-    // --- parallel columns, indexed by physical slot ---
-    pub(crate) seq: Vec<u64>,
-    pub(crate) state: Vec<RobState>,
-    pub(crate) kind: Vec<RobKind>,
-    pub(crate) trace_idx: Vec<usize>,
-    pub(crate) pc: Vec<Pc>,
-    pub(crate) dst: Vec<Option<Reg>>,
-    pub(crate) deps: Vec<[Option<RobIdx>; 2]>,
-    pub(crate) src_regs: Vec<[Option<Reg>; 2]>,
-    pub(crate) done_at: Vec<Cycle>,
-    pub(crate) result: Vec<Value>,
+/// The per-entry fields a scheduler visit, completion or retirement
+/// reads together: one column of these instead of one column each.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RobEntry {
+    pub(crate) kind: RobKind,
+    /// Producer handles for up to two register sources.
+    pub(crate) deps: [Option<RobIdx>; 2],
+    pub(crate) done_at: Cycle,
+    pub(crate) result: Value,
+    pub(crate) trace_idx: usize,
+    pub(crate) dst: Option<Reg>,
+    pub(crate) src_regs: [Option<Reg>; 2],
+}
+
+/// End of a wake list or of the wake-node free list.
+const NIL: u32 = u32::MAX;
+
+/// One armed wake: a consumer to mark ready, chained to the next wake of
+/// the same producer (or, when free, to the next free node).
+#[derive(Debug, Clone, Copy)]
+struct WakeNode {
+    consumer_slot: u32,
+    next: u32,
+    consumer_seq: u64,
+}
+
+/// The scheduler's flag bits for 64 consecutive physical slots, bit
+/// `i` standing for slot `64 * word + i`.
+#[derive(Debug, Clone, Copy, Default)]
+struct FlagWord {
     /// Bit per physical slot: entry is `Waiting` (a scheduler wake-up
     /// candidate). Maintained by [`Rob::set_state_at`]; bits of slots
     /// outside the live window are stale and never read (every scan is
     /// masked to the window).
-    waiting: Vec<u64>,
+    waiting: u64,
     /// Bit per physical slot: entry is not `Done` — what the scheduler's
     /// window-depth counter (`rs_seen`) counts.
-    not_done: Vec<u64>,
+    not_done: u64,
     /// Bit per physical slot: a visit to this `Waiting` entry could make
     /// progress right now (its gating operands are satisfied, or for a
     /// store at least one of its two jobs is actionable). Seeded at
@@ -134,18 +142,42 @@ pub struct Rob {
     /// is one-sided: a set bit may be spurious (the visit is a no-op),
     /// but every entry the age-ordered scan would advance MUST have its
     /// bit set — port- or width-starved entries therefore keep theirs.
-    ready: Vec<u64>,
+    ready: u64,
     /// `not_done` frozen at [`Rob::sched_pass`]: window-depth counts stay
     /// relative to the cycle's initial state even when a store completes
     /// mid-pass (the linear reference scan counted it as in-flight for
     /// every younger entry it reached afterwards).
-    nd_snap: Vec<u64>,
-    /// Per-producer-slot wake lists: `(consumer_slot, consumer_seq)`
-    /// pairs armed at the consumer's dispatch for each then-unsatisfied
-    /// operand. Fired (and drained) when the producer's state is set to
-    /// `Done`; stale pairs are filtered by the seq check, and a reused
-    /// producer slot clears its list in [`Rob::push`].
-    wake: Vec<Vec<(u32, u64)>>,
+    nd_snap: u64,
+}
+
+/// The reorder buffer: a bounded circular window over struct-of-arrays
+/// columns, with O(1) handle lookup and suffix squash.
+#[derive(Debug)]
+pub struct Rob {
+    /// Physical slot of the oldest entry.
+    head: usize,
+    /// Occupied entries.
+    len: usize,
+    /// Capacity, which is also the ring's slot count.
+    capacity: usize,
+    next_seq: u64,
+    // --- parallel columns, indexed by physical slot ---
+    pub(crate) seq: Vec<u64>,
+    pub(crate) state: Vec<RobState>,
+    pub(crate) entry: Vec<RobEntry>,
+    /// The scheduler's per-slot flag bits, one [`FlagWord`] per 64
+    /// slots.
+    flags: Vec<FlagWord>,
+    /// Per-producer-slot wake lists: the head in `wake_nodes` of the
+    /// `(consumer_slot, consumer_seq)` pairs armed at the consumer's
+    /// dispatch for each then-unsatisfied operand. Fired (and drained)
+    /// when the producer's state is set to `Done`; stale pairs are
+    /// filtered by the seq check, and a reused producer slot clears its
+    /// list in [`Rob::push`].
+    wake: Vec<u32>,
+    /// Arena of wake-list nodes; drained nodes chain from `wake_free`.
+    wake_nodes: Vec<WakeNode>,
+    wake_free: u32,
 }
 
 /// Resumable position of a scheduler pass (see [`Rob::sched_pass`]):
@@ -187,28 +219,50 @@ fn word_mask(lo: usize, hi: usize, base: usize) -> u64 {
 impl Rob {
     /// An empty ROB of `capacity` entries.
     pub fn new(capacity: usize) -> Rob {
-        let phys = capacity.next_power_of_two();
         Rob {
-            mask: phys - 1,
             head: 0,
             len: 0,
             capacity,
             next_seq: 0,
-            seq: vec![0; phys],
-            state: vec![RobState::Waiting; phys],
-            kind: vec![RobKind::Nop; phys],
-            trace_idx: vec![0; phys],
-            pc: vec![Pc(0); phys],
-            dst: vec![None; phys],
-            deps: vec![[None, None]; phys],
-            src_regs: vec![[None, None]; phys],
-            done_at: vec![0; phys],
-            result: vec![0; phys],
-            waiting: vec![0; phys.div_ceil(64)],
-            not_done: vec![0; phys.div_ceil(64)],
-            ready: vec![0; phys.div_ceil(64)],
-            nd_snap: vec![0; phys.div_ceil(64)],
-            wake: vec![Vec::new(); phys],
+            seq: vec![0; capacity],
+            state: vec![RobState::Waiting; capacity],
+            entry: vec![
+                RobEntry {
+                    kind: RobKind::Nop,
+                    deps: [None, None],
+                    done_at: 0,
+                    result: 0,
+                    trace_idx: 0,
+                    dst: None,
+                    src_regs: [None, None],
+                };
+                capacity
+            ],
+            flags: vec![FlagWord::default(); capacity.div_ceil(64)],
+            wake: vec![NIL; capacity],
+            wake_nodes: Vec::new(),
+            wake_free: NIL,
+        }
+    }
+
+    /// Physical slot of ring index `i < 2 * capacity`.
+    #[inline]
+    fn wrap(&self, i: usize) -> usize {
+        if i >= self.capacity {
+            i - self.capacity
+        } else {
+            i
+        }
+    }
+
+    /// Window position of physical slot `slot` (`>= len` when the slot
+    /// is outside the live window).
+    #[inline]
+    fn pos_at(&self, slot: usize) -> usize {
+        if slot >= self.head {
+            slot - self.head
+        } else {
+            slot + self.capacity - self.head
         }
     }
 
@@ -218,49 +272,52 @@ impl Rob {
     pub(crate) fn set_state_at(&mut self, slot: usize, s: RobState) {
         self.state[slot] = s;
         let (w, b) = (slot / 64, 1u64 << (slot % 64));
-        self.ready[w] &= !b;
+        self.flags[w].ready &= !b;
         if s == RobState::Waiting {
-            self.waiting[w] |= b;
+            self.flags[w].waiting |= b;
         } else {
-            self.waiting[w] &= !b;
+            self.flags[w].waiting &= !b;
         }
         if s == RobState::Done {
-            self.not_done[w] &= !b;
-            if !self.wake[slot].is_empty() {
-                self.fire_wakes(slot);
+            self.flags[w].not_done &= !b;
+            if self.wake[slot] != NIL {
+                self.drain_wakes(slot, true);
             }
         } else {
-            self.not_done[w] |= b;
+            self.flags[w].not_done |= b;
         }
     }
 
-    /// Drains `slot`'s wake list, marking each still-live consumer ready.
-    /// A consumer that has since been squashed (or whose slot was reused)
-    /// fails the seq check and is skipped; one that has left `Waiting`
-    /// gets a stale ready bit that every scan masks out.
-    fn fire_wakes(&mut self, slot: usize) {
-        let mut list = std::mem::take(&mut self.wake[slot]);
-        for &(cs, cseq) in &list {
-            let cs = cs as usize;
-            if self.seq[cs] == cseq {
-                self.ready[cs / 64] |= 1u64 << (cs % 64);
+    /// Drains `slot`'s wake list into the free list, marking each
+    /// still-live consumer ready when `fire` is set. A consumer that has
+    /// since been squashed (or whose slot was reused) fails the seq check
+    /// and is skipped; one that has left `Waiting` gets a stale ready bit
+    /// that every scan masks out.
+    fn drain_wakes(&mut self, slot: usize, fire: bool) {
+        let mut n = std::mem::replace(&mut self.wake[slot], NIL);
+        while n != NIL {
+            let w = self.wake_nodes[n as usize];
+            let cs = w.consumer_slot as usize;
+            if fire && self.seq[cs] == w.consumer_seq {
+                self.flags[cs / 64].ready |= 1u64 << (cs % 64);
             }
+            self.wake_nodes[n as usize].next = self.wake_free;
+            self.wake_free = n;
+            n = w.next;
         }
-        list.clear();
-        self.wake[slot] = list;
     }
 
     /// Marks a `Waiting` entry as a live scheduler candidate.
     #[inline]
     pub(crate) fn mark_ready(&mut self, slot: usize) {
-        self.ready[slot / 64] |= 1u64 << (slot % 64);
+        self.flags[slot / 64].ready |= 1u64 << (slot % 64);
     }
 
     /// Clears an entry's candidate bit after a visit proved it
     /// dep-stalled (an armed wake will raise it again).
     #[inline]
     pub(crate) fn clear_ready(&mut self, slot: usize) {
-        self.ready[slot / 64] &= !(1u64 << (slot % 64));
+        self.flags[slot / 64].ready &= !(1u64 << (slot % 64));
     }
 
     /// Arms a completion wake on `producer` for the entry in
@@ -270,7 +327,21 @@ impl Rob {
         let ps = producer.slot as usize;
         debug_assert_eq!(self.seq[ps], producer.seq, "arming a stale producer");
         debug_assert_ne!(self.state[ps], RobState::Done, "arming a done producer");
-        self.wake[ps].push((consumer_slot as u32, self.seq[consumer_slot]));
+        let node = WakeNode {
+            consumer_slot: consumer_slot as u32,
+            next: self.wake[ps],
+            consumer_seq: self.seq[consumer_slot],
+        };
+        let n = if self.wake_free == NIL {
+            self.wake_nodes.push(node);
+            (self.wake_nodes.len() - 1) as u32
+        } else {
+            let n = self.wake_free;
+            self.wake_free = self.wake_nodes[n as usize].next;
+            self.wake_nodes[n as usize] = node;
+            n
+        };
+        self.wake[ps] = n;
     }
 
     /// First window position at or after `from` whose entry is not
@@ -281,8 +352,8 @@ impl Rob {
         if from >= len {
             return len;
         }
-        let phys = self.mask + 1;
-        let lo = (self.head + from) & self.mask;
+        let phys = self.capacity;
+        let lo = self.wrap(self.head + from);
         let count = len - from;
         let seg1 = (lo, (lo + count).min(phys));
         let seg2 = (0, (lo + count).saturating_sub(phys));
@@ -290,10 +361,10 @@ impl Rob {
             let mut w = lo / 64;
             while w * 64 < hi {
                 let base = w * 64;
-                let m = self.not_done[w] & word_mask(lo, hi, base);
+                let m = self.flags[w].not_done & word_mask(lo, hi, base);
                 if m != 0 {
                     let slot = base + m.trailing_zeros() as usize;
-                    return slot.wrapping_sub(self.head) & self.mask;
+                    return self.pos_at(slot);
                 }
                 w += 1;
             }
@@ -310,12 +381,14 @@ impl Rob {
     /// have reached them — wakes only ever target younger (later)
     /// positions, which the monotone cursor has not passed yet.
     pub(crate) fn sched_pass(&mut self, start: usize, window: usize) -> SchedCursor {
-        self.nd_snap.copy_from_slice(&self.not_done);
-        let phys = self.mask + 1;
+        for f in &mut self.flags {
+            f.nd_snap = f.not_done;
+        }
+        let phys = self.capacity;
         if start >= self.len {
             return SchedCursor::done();
         }
-        let lo = (self.head + start) & self.mask;
+        let lo = self.wrap(self.head + start);
         let count = self.len - start;
         let seg1 = (lo, (lo + count).min(phys));
         let seg2 = (0, (lo + count).saturating_sub(phys));
@@ -344,8 +417,8 @@ impl Rob {
                 if cur.floor > base {
                     m &= !0u64 << (cur.floor - base);
                 }
-                let ndw = self.nd_snap[w] & m;
-                let ww = self.waiting[w] & self.ready[w] & m;
+                let ndw = self.flags[w].nd_snap & m;
+                let ww = self.flags[w].waiting & self.flags[w].ready & m;
                 if ww != 0 {
                     let b = ww.trailing_zeros();
                     let below = (1u64 << b) - 1;
@@ -382,7 +455,7 @@ impl Rob {
     /// it in between).
     #[inline]
     pub(crate) fn slot_live(&self, slot: usize) -> bool {
-        slot.wrapping_sub(self.head) & self.mask < self.len
+        self.pos_at(slot) < self.len
     }
 
     /// `true` when no more entries can dispatch.
@@ -404,7 +477,7 @@ impl Rob {
     /// must keep `pos < len`.
     #[inline]
     pub(crate) fn phys(&self, pos: usize) -> usize {
-        (self.head + pos) & self.mask
+        self.wrap(self.head + pos)
     }
 
     /// Window position of a live handle, `None` when stale (retired or
@@ -412,7 +485,7 @@ impl Rob {
     #[inline]
     pub fn pos_of(&self, idx: RobIdx) -> Option<usize> {
         let slot = idx.slot as usize;
-        let pos = slot.wrapping_sub(self.head) & self.mask;
+        let pos = self.pos_at(slot);
         (pos < self.len && self.seq[slot] == idx.seq).then_some(pos)
     }
 
@@ -435,24 +508,28 @@ impl Rob {
     /// Panics when full — the dispatcher must check [`Rob::is_full`].
     pub fn push(&mut self, uop: RobUop) -> RobIdx {
         assert!(!self.is_full(), "ROB overflow");
-        let slot = (self.head + self.len) & self.mask;
+        let slot = self.wrap(self.head + self.len);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
         self.seq[slot] = seq;
         // A reused slot must not fire the previous occupant's wakes (the
         // seq check would filter them, but a `Done`-at-dispatch uop would
-        // walk the stale list) nor inherit its ready bit.
-        self.wake[slot].clear();
+        // walk the stale list) nor inherit its ready bit; the stale
+        // list's nodes go back to the free list.
+        if self.wake[slot] != NIL {
+            self.drain_wakes(slot, false);
+        }
         self.set_state_at(slot, uop.state);
-        self.kind[slot] = uop.kind;
-        self.trace_idx[slot] = uop.trace_idx;
-        self.pc[slot] = uop.pc;
-        self.dst[slot] = uop.dst;
-        self.deps[slot] = uop.deps;
-        self.src_regs[slot] = uop.src_regs;
-        self.done_at[slot] = uop.done_at;
-        self.result[slot] = 0;
+        self.entry[slot] = RobEntry {
+            kind: uop.kind,
+            deps: uop.deps,
+            done_at: uop.done_at,
+            result: 0,
+            trace_idx: uop.trace_idx,
+            dst: uop.dst,
+            src_regs: uop.src_regs,
+        };
         RobIdx {
             seq,
             slot: slot as u32,
@@ -477,7 +554,7 @@ impl Rob {
     /// it needs from the head columns first.
     pub fn pop_front(&mut self) {
         debug_assert!(self.len > 0, "retiring from an empty ROB");
-        self.head = (self.head + 1) & self.mask;
+        self.head = self.wrap(self.head + 1);
         self.len -= 1;
     }
 
@@ -493,7 +570,7 @@ impl Rob {
     #[inline]
     pub fn dep_satisfied(&self, idx: RobIdx) -> bool {
         let slot = idx.slot as usize;
-        let pos = slot.wrapping_sub(self.head) & self.mask;
+        let pos = self.pos_at(slot);
         if pos < self.len && self.seq[slot] == idx.seq {
             self.state[slot] == RobState::Done
         } else {
@@ -535,7 +612,6 @@ mod tests {
     fn uop(trace_idx: usize) -> RobUop {
         RobUop {
             trace_idx,
-            pc: Pc(0x1000 + trace_idx as u64 * 4),
             kind: RobKind::Nop,
             dst: None,
             deps: [None, None],

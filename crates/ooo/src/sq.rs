@@ -12,7 +12,9 @@
 //! — the check every retiring SLF load and every gate-key probe performs
 //! — is one occupancy test plus one sorting-bit compare instead of a
 //! queue scan. The forwarding age search walks the dense
-//! address/size/resolved columns youngest-first.
+//! address/size/resolved columns youngest-first. The fields only one
+//! store's own dispatch, commit or ordering check reads share one
+//! `StoreEntry` column.
 
 use sa_coherence::MemReqId;
 use sa_isa::{addr, Addr, Cycle, Line, Value};
@@ -56,6 +58,15 @@ pub enum SearchHit {
     },
 }
 
+/// Per-store fields outside the scanned columns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StoreEntry {
+    pub(crate) pc: u64,
+    pub(crate) value: Option<Value>,
+    pub(crate) committing_done: Option<Cycle>,
+    pub(crate) own_req: Option<MemReqId>,
+}
+
 /// The circular SQ/SB over struct-of-arrays columns.
 #[derive(Debug)]
 pub struct StoreQueue {
@@ -96,16 +107,13 @@ pub struct StoreQueue {
     // --- parallel columns, indexed by physical slot ---
     pub(crate) seq: Vec<u64>,
     pub(crate) rob: Vec<RobIdx>,
-    pub(crate) pc: Vec<u64>,
     pub(crate) addr: Vec<Addr>,
     pub(crate) size: Vec<u8>,
     pub(crate) line: Vec<Line>,
     addr_resolved: Vec<bool>,
-    pub(crate) value: Vec<Option<Value>>,
     retired: Vec<bool>,
-    pub(crate) committing_done: Vec<Option<Cycle>>,
-    pub(crate) own_req: Vec<Option<MemReqId>>,
     sorting: Vec<bool>,
+    pub(crate) entry: Vec<StoreEntry>,
 }
 
 impl StoreQueue {
@@ -124,16 +132,21 @@ impl StoreQueue {
             filter_counts: [0; 64],
             seq: vec![0; capacity],
             rob: vec![RobIdx { seq: 0, slot: 0 }; capacity],
-            pc: vec![0; capacity],
             addr: vec![0; capacity],
             size: vec![0; capacity],
             line: vec![Line::containing(0); capacity],
             addr_resolved: vec![false; capacity],
-            value: vec![None; capacity],
             retired: vec![false; capacity],
-            committing_done: vec![None; capacity],
-            own_req: vec![None; capacity],
             sorting: vec![false; capacity],
+            entry: vec![
+                StoreEntry {
+                    pc: 0,
+                    value: None,
+                    committing_done: None,
+                    own_req: None,
+                };
+                capacity
+            ],
         }
     }
 
@@ -279,16 +292,18 @@ impl StoreQueue {
         self.len += 1;
         self.seq[slot] = seq;
         self.rob[slot] = rob;
-        self.pc[slot] = pc;
         self.addr[slot] = addr;
         self.size[slot] = size;
         self.line[slot] = Line::containing(addr);
         self.addr_resolved[slot] = addr_resolved;
-        self.value[slot] = value;
         self.retired[slot] = false;
-        self.committing_done[slot] = None;
-        self.own_req[slot] = None;
         self.sorting[slot] = sorting;
+        self.entry[slot] = StoreEntry {
+            pc,
+            value,
+            committing_done: None,
+            own_req: None,
+        };
         if !addr_resolved {
             self.unresolved += 1;
         }
@@ -367,7 +382,7 @@ impl StoreQueue {
     /// `true` once address and data of `slot` are both available.
     #[inline]
     pub(crate) fn executed_at(&self, slot: usize) -> bool {
-        self.addr_resolved[slot] && self.value[slot].is_some()
+        self.addr_resolved[slot] && self.entry[slot].value.is_some()
     }
 
     /// Removes the committed head. The caller reads any fields it needs
@@ -377,8 +392,11 @@ impl StoreQueue {
     /// counter stays exact.
     #[inline]
     pub(crate) fn start_commit_at(&mut self, slot: usize, done: Cycle) {
-        debug_assert!(self.committing_done[slot].is_none(), "commit started twice");
-        self.committing_done[slot] = Some(done);
+        debug_assert!(
+            self.entry[slot].committing_done.is_none(),
+            "commit started twice"
+        );
+        self.entry[slot].committing_done = Some(done);
         self.n_committing += 1;
     }
 
@@ -396,7 +414,7 @@ impl StoreQueue {
         if self.retired[slot] {
             self.n_retired -= 1;
         }
-        if self.committing_done[slot].is_some() {
+        if self.entry[slot].committing_done.is_some() {
             self.n_committing -= 1;
         }
         if !self.addr_resolved[slot] {

@@ -7,6 +7,10 @@
 //! stores of the same set to resolve; everything else may speculate past
 //! unresolved store addresses. Violations train the tables by merging the
 //! offending store and load into one set.
+//!
+//! Both tables are allocated by the first training. Until then every
+//! PC maps to no set, exactly as in a freshly filled SSIT, so most
+//! litmus-scale runs never allocate them.
 
 const SSIT_SIZE: usize = 1024;
 const LFST_SIZE: usize = 128;
@@ -17,6 +21,7 @@ pub type Ssid = u16;
 /// The predictor.
 #[derive(Debug)]
 pub struct StoreSet {
+    /// Empty, like `lfst_inflight`, until the first training.
     ssit: Vec<Option<Ssid>>,
     /// LFST: per-set count of in-flight (unresolved) stores.
     lfst_inflight: Vec<u32>,
@@ -30,8 +35,8 @@ impl StoreSet {
     /// freely (no waiting) and training is a no-op.
     pub fn new(enabled: bool) -> StoreSet {
         StoreSet {
-            ssit: vec![None; SSIT_SIZE],
-            lfst_inflight: vec![0; LFST_SIZE],
+            ssit: Vec::new(),
+            lfst_inflight: Vec::new(),
             next_ssid: 0,
             enabled,
             violations: 0,
@@ -45,7 +50,7 @@ impl StoreSet {
     /// Store set of the instruction at `pc`, if any.
     pub fn set_of(&self, pc: u64) -> Option<Ssid> {
         if self.enabled {
-            self.ssit[Self::idx(pc)]
+            self.ssit.get(Self::idx(pc)).copied().flatten()
         } else {
             None
         }
@@ -83,6 +88,10 @@ impl StoreSet {
             return;
         }
         self.violations += 1;
+        if self.ssit.is_empty() {
+            self.ssit = vec![None; SSIT_SIZE];
+            self.lfst_inflight = vec![0; LFST_SIZE];
+        }
         let si = Self::idx(store_pc);
         let li = Self::idx(load_pc);
         match (self.ssit[si], self.ssit[li]) {

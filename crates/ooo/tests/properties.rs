@@ -299,7 +299,6 @@ fn stale_handles_are_rejected_after_slot_reuse() {
     for i in 0..64u64 {
         let id = rob.push(RobUop {
             trace_idx: i as usize,
-            pc: sa_isa::Pc(i),
             kind: RobKind::Nop,
             dst: None,
             deps: [None, None],

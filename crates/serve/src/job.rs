@@ -26,6 +26,12 @@ use sa_sim::{parse_topology, EngineMode, Topology};
 /// inside the explorer's one-byte key cells.
 const MAX_PROGRAM_OPS: usize = sa_isa::NUM_REGS;
 
+/// Largest workload job, in instructions summed over its cores
+/// (`cores × scale`). Every job on its suite's default core count (8
+/// for the parallel suite, 1 for SPEC) fits at the largest scale,
+/// 1,000,000; more cores must come with a smaller scale.
+pub const MAX_WORKLOAD_INSTRUCTIONS: u64 = 8_000_000;
+
 /// Parsed litmus-job parameters.
 #[derive(Debug, Clone)]
 pub struct LitmusJob {
@@ -253,6 +259,13 @@ impl JobSpec {
         }
         if let Some(EngineMode::Parallel { threads: 0 }) = engine {
             return Err("\"engine\" parallel needs at least one thread".to_string());
+        }
+        let work = effective as u64 * scale;
+        if work > MAX_WORKLOAD_INSTRUCTIONS {
+            return Err(format!(
+                "cores × scale = {effective} × {scale} = {work} instructions, \
+                 over the {MAX_WORKLOAD_INSTRUCTIONS} per-job cap"
+            ));
         }
         Ok(JobSpec::Workload(WorkloadJob {
             workload: workload.to_string(),
@@ -583,6 +596,31 @@ mod tests {
         ] {
             let err = JobSpec::parse(body).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
+        }
+    }
+
+    #[test]
+    fn bounds_workload_work() {
+        // 10^9 instructions on 1024 shard threads.
+        let err = JobSpec::parse(
+            r#"{"kind":"workload","workload":"radix","scale":1000000,"cores":1024,
+                "engine":"parallel:1024"}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("per-job cap"), "{err}");
+        let err =
+            JobSpec::parse(r#"{"kind":"workload","workload":"radix","scale":1000000,"cores":9}"#)
+                .unwrap_err();
+        assert!(err.contains("9 × 1000000"), "{err}");
+        // Default core counts fit at the largest scale; more cores fit
+        // at a proportionally smaller one.
+        for ok in [
+            r#"{"kind":"workload","workload":"radix","scale":1000000}"#,
+            r#"{"kind":"workload","workload":"505.mcf","scale":1000000}"#,
+            r#"{"kind":"workload","workload":"radix","scale":1000000,"cores":8}"#,
+            r#"{"kind":"workload","workload":"radix","scale":7812,"cores":1024}"#,
+        ] {
+            assert!(JobSpec::parse(ok).is_ok(), "{ok}");
         }
     }
 

@@ -1312,6 +1312,16 @@ mod tests {
         assert!(status.contains("400"), "{status}: {body}");
         assert!(body.contains("nesting"), "{body}");
 
+        // A workload job past the cores × scale cap is refused.
+        let (status, body) = http(
+            port,
+            "POST",
+            "/jobs",
+            r#"{"kind":"workload","workload":"radix","scale":1000000,"cores":1024,"engine":"parallel:1024"}"#,
+        );
+        assert!(status.contains("400"), "{status}: {body}");
+        assert!(body.contains("per-job cap"), "{body}");
+
         let (_, unknown) = http(port, "GET", "/jobs/999999", "");
         assert!(unknown.contains("unknown"));
         let (status, _) = http(port, "GET", "/no/such", "");
