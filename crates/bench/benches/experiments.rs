@@ -1,7 +1,7 @@
 //! Benches mirroring the paper's tables and figures at reduced scale —
 //! one group per artifact, so `cargo bench` exercises every experiment
 //! end-to-end on the in-tree timing harness. The full-size outputs come
-//! from the binaries (`table4`, `fig9`, `fig10`, ...).
+//! from `reproduce`, which writes every artifact into `results/`.
 
 use sa_bench::harness::Group;
 use sa_isa::ConsistencyModel;

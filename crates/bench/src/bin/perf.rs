@@ -30,12 +30,12 @@
 //! deterministic; only the timing varies). Use `--repeat 5` when
 //! regenerating a committed baseline.
 //!
-//! With `--lockstep`, every cell runs on the cycle-exact lockstep
-//! reference engine instead of the default event-driven one — CI diffs
-//! the two sweeps with `bench-diff` to pin engine equivalence.
+//! `--engine` runs every cell, litmus cells included, on another engine
+//! (`lockstep`, `parallel:<t>`); its cycles must equal the default
+//! event-driven run's, which `bench-diff` checks.
 //!
 //! Usage: `perf [--scale N] [--seed N] [--jobs N] [--out PATH]
-//! [--only NAME,NAME] [--repeat N] [--profile] [--lockstep]
+//! [--only NAME,NAME] [--repeat N] [--profile] [--engine MODE]
 //! [--serve-metrics PORT]`
 //! (default scale 2000, default output `BENCH_pr8.json`). The one line
 //! on stdout is the host-throughput geomean over all cells, for shell
@@ -46,9 +46,7 @@ use std::sync::{Arc, Mutex};
 
 use sa_bench::cli::{self, Arity, Flag, Spec};
 use sa_bench::serve::MetricsServer;
-use sa_bench::{
-    harness, parallel_map, run_workload_lockstep, run_workload_opts, run_workload_profiled,
-};
+use sa_bench::{harness, parallel_map, run_workload_opts, run_workload_profiled};
 use sa_isa::ConsistencyModel;
 use sa_metrics::{CpiCategory, JsonWriter};
 use sa_profile::{ProfileTree, Profiler, WallProfiler};
@@ -62,7 +60,7 @@ const LITMUS: [&str; 2] = ["n6", "mp"];
 const PARALLEL: [&str; 3] = ["barnes", "radix", "x264"];
 const SPEC: [&str; 2] = ["505.mcf", "557.xz_2"];
 
-fn run_litmus(name: &str, model: ConsistencyModel, profile: bool, lockstep: bool) -> Report {
+fn run_litmus(name: &str, model: ConsistencyModel, profile: bool, engine: EngineMode) -> Report {
     // Litmus cells finish in microseconds, so the 90% reconciliation
     // gate only holds if *everything* is inside a span: program fetch,
     // trace conversion, engine construction, the run, the report, and
@@ -82,11 +80,7 @@ fn run_litmus(name: &str, model: ConsistencyModel, profile: bool, lockstep: bool
         let cfg = SimConfig::default()
             .with_model(model)
             .with_cores(traces.len())
-            .with_engine(if lockstep {
-                EngineMode::Lockstep
-            } else {
-                EngineMode::EventDriven
-            });
+            .with_engine(engine);
         (traces, cfg)
     };
     if profile {
@@ -180,11 +174,6 @@ fn main() {
             arity: Arity::One,
             help: "time each cell N times, keep the fastest (default 1)",
         },
-        Flag {
-            name: "--lockstep",
-            arity: Arity::Switch,
-            help: "run on the cycle-exact lockstep reference engine (for engine-equivalence diffs)",
-        },
     ];
     let args = cli::parse(&Spec {
         default_scale: Some(2_000),
@@ -198,11 +187,7 @@ fn main() {
     let opts = args.opts.clone();
     let out_path = opts.out.clone().expect("spec supplies a default --out");
     let profile_on = args.switch("--profile");
-    let lockstep = args.switch("--lockstep");
-    if profile_on && lockstep {
-        eprintln!("perf: --profile and --lockstep are mutually exclusive");
-        exit(2);
-    }
+    let engine = opts.engine.unwrap_or(EngineMode::EventDriven);
     let repeat: usize = args
         .value("--repeat")
         .map(|v| {
@@ -289,14 +274,12 @@ fn main() {
     let all_results: Vec<ConfigResult> = parallel_map(&cells, opts.jobs, |&(e, model)| {
         let run_cell = || {
             if e.kind == "litmus" {
-                harness::time(|| run_litmus(e.name, model, profile_on, lockstep))
+                harness::time(|| run_litmus(e.name, model, profile_on, engine))
             } else {
                 let w = sa_workloads::by_name(e.name)
                     .unwrap_or_else(|| panic!("unpinned workload {}", e.name));
                 if profile_on {
                     harness::time(|| run_workload_profiled(&w, model, opts.scale, opts.seed))
-                } else if lockstep {
-                    harness::time(|| run_workload_lockstep(&w, model, opts.scale, opts.seed))
                 } else {
                     harness::time(|| run_workload_opts(&w, model, &opts))
                 }

@@ -1,7 +1,7 @@
 //! The shared command-line surface of every `sa-bench` binary.
 //!
 //! All binaries accept one common flag set — `--scale`, `--seed`,
-//! `--suite`, `--only`, `--jobs`, `--csv`, `--json`, `--out`, `--help` —
+//! `--suite`, `--only`, `--jobs`, `--json`, `--out`, `--help` —
 //! parsed here into [`Opts`]; a binary declares its extra flags (and
 //! default overrides) in a [`Spec`] and reads them from the returned
 //! [`Args`]. JSON-emitting binaries open their document with
@@ -10,7 +10,8 @@
 //!
 //! [`parse`] is the `main()` entry (prints usage and exits on `--help`
 //! or bad input, and makes a closed standard output a clean exit);
-//! [`parse_from`] is the pure, testable core.
+//! [`parse_from`] is the pure, testable core, and [`usage_error`] ends a
+//! command line that parsed but asks for something that does not exist.
 
 use sa_metrics::JsonWriter;
 use sa_sim::{parse_topology, EngineMode, SimConfig, Topology};
@@ -29,8 +30,6 @@ pub struct Opts {
     pub only: Option<String>,
     /// Worker threads for independent simulations.
     pub jobs: usize,
-    /// Emit machine-readable CSV instead of aligned tables.
-    pub csv: bool,
     /// Emit machine-readable JSON instead of aligned tables.
     pub json: bool,
     /// Output path for binaries that write a file.
@@ -67,7 +66,6 @@ impl Default for Opts {
             jobs: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            csv: false,
             json: false,
             out: None,
             topology: None,
@@ -78,8 +76,8 @@ impl Default for Opts {
 }
 
 impl Opts {
-    /// The selected workloads.
-    pub fn workloads(&self) -> Vec<WorkloadSpec> {
+    /// The selected workloads; `Err` when `--only` names none of them.
+    pub fn workloads(&self) -> Result<Vec<WorkloadSpec>, String> {
         let mut ws = match self.suite {
             SuiteSel::Parallel => sa_workloads::parallel_suite(),
             SuiteSel::Spec => sa_workloads::spec_suite(),
@@ -91,9 +89,11 @@ impl Opts {
         };
         if let Some(only) = &self.only {
             ws.retain(|w| w.name == only.as_str());
-            assert!(!ws.is_empty(), "no workload named {only}");
+            if ws.is_empty() {
+                return Err(format!("no workload named {only:?} in the selected suite"));
+            }
         }
-        ws
+        Ok(ws)
     }
 
     /// Applies the `--topology` / `--engine` overrides to a config (a
@@ -227,7 +227,6 @@ pub fn usage(spec: &Spec) -> String {
     s.push_str("  --topology fc|mesh:W interconnect topology override\n");
     s.push_str("  --engine MODE        lockstep|event|parallel:<threads>\n");
     s.push_str("  --cores N            workload core-count override (default: suite's)\n");
-    s.push_str("  --csv                machine-readable CSV output\n");
     s.push_str("  --json               machine-readable JSON output\n");
     match spec.default_out {
         Some(d) => s.push_str(&format!(
@@ -308,7 +307,6 @@ pub fn parse_from(spec: &Spec, args: &[String]) -> Result<Args, String> {
                 }
                 opts.cores = Some(n);
             }
-            "--csv" => opts.csv = true,
             "--json" => opts.json = true,
             "--out" => opts.out = Some(need()?),
             other => match spec.extras.iter().find(|f| f.name == other) {
@@ -341,11 +339,15 @@ pub fn parse(spec: &Spec) -> Args {
         print!("{}", usage(spec));
         std::process::exit(0);
     }
-    parse_from(spec, &args).unwrap_or_else(|e| {
-        eprintln!("{}: {e}\n", spec.bin);
-        eprint!("{}", usage(spec));
-        std::process::exit(2);
-    })
+    parse_from(spec, &args).unwrap_or_else(|e| usage_error(spec, &e))
+}
+
+/// Prints `msg` and the usage text to stderr and exits 2, the status of
+/// every bad command line.
+pub fn usage_error(spec: &Spec, msg: &str) -> ! {
+    eprintln!("{}: {msg}\n", spec.bin);
+    eprint!("{}", usage(spec));
+    std::process::exit(2);
 }
 
 /// Installs a panic hook that turns `print!`'s panic on a broken pipe
@@ -428,7 +430,7 @@ mod tests {
         assert_eq!(a.opts.seed, 9);
         assert_eq!(a.opts.suite, SuiteSel::Spec);
         assert_eq!(a.opts.jobs, 3);
-        assert!(a.opts.json && !a.opts.csv);
+        assert!(a.opts.json);
         assert_eq!(a.opts.only.as_deref(), Some("radix"));
     }
 
@@ -526,7 +528,6 @@ mod tests {
             "--suite",
             "--only",
             "--jobs",
-            "--csv",
             "--json",
             "--out",
             "--mutate",
@@ -560,17 +561,22 @@ mod tests {
             suite: SuiteSel::Parallel,
             ..Opts::default()
         };
-        assert_eq!(o.workloads().len(), 25);
+        assert_eq!(o.workloads().unwrap().len(), 25);
         let o = Opts {
             suite: SuiteSel::Spec,
             ..Opts::default()
         };
-        assert_eq!(o.workloads().len(), 36);
+        assert_eq!(o.workloads().unwrap().len(), 36);
         let o = Opts {
             suite: SuiteSel::All,
             only: Some("radix".into()),
             ..Opts::default()
         };
-        assert_eq!(o.workloads().len(), 1);
+        assert_eq!(o.workloads().unwrap().len(), 1);
+        let o = Opts {
+            only: Some("nosuch".into()),
+            ..Opts::default()
+        };
+        assert!(o.workloads().unwrap_err().contains("nosuch"));
     }
 }

@@ -1,20 +1,7 @@
-//! Experiment runner shared by the table/figure binaries and the
-//! micro-benches.
-//!
-//! Every binary regenerates one artifact of the paper:
-//!
-//! | binary        | artifact |
-//! |---------------|----------|
-//! | `table1`      | Table I (atomicity taxonomy) |
-//! | `table2`      | Table II (fig5 outcomes under x86 vs 370) |
-//! | `table3`      | Table III (system configuration) |
-//! | `table4`      | Table IV (per-benchmark characterization under 370-SLFSoS-key) |
-//! | `fig9`        | Figure 9 (stall breakdown, 5 configs) |
-//! | `fig10`       | Figure 10 (execution time normalized to x86) |
-//! | `litmus_figs` | Figures 1/2/3/5 (allowed/forbidden classifications) |
-//! | `ablation`    | design-choice ablations beyond the paper |
-//!
-//! Run with `--scale N` to control instructions per core (default 30000;
+//! Experiment runner shared by the `sa-bench` binaries and the
+//! benches. `reproduce` regenerates every table and figure of the paper's
+//! evaluation into `results/` from one deduplicated cell matrix (see
+//! [`reproduce`]) at `--scale N` instructions per core (default 30000;
 //! the paper simulates ~1 B instructions per benchmark — scale up as your
 //! patience allows; shapes stabilize well before 100k).
 
@@ -22,76 +9,65 @@ pub mod cli;
 pub mod client;
 pub mod fuzz;
 pub mod harness;
+pub mod reproduce;
 pub mod serve;
 
 pub use cli::{Opts, SuiteSel};
 
 use sa_isa::ConsistencyModel;
 use sa_sim::report::geomean;
-use sa_sim::{EngineMode, Multicore, Report, SimConfig};
+use sa_sim::{Multicore, Report, SimConfig};
 use sa_workloads::{Suite, WorkloadSpec};
 
-/// Runs one workload under one consistency model to completion.
+/// The core count a workload runs on: 8 for the parallel suite, 1 for
+/// SPEC.
+pub fn suite_cores(w: &WorkloadSpec) -> usize {
+    match w.suite {
+        Suite::Parallel => 8,
+        Suite::Spec => 1,
+    }
+}
+
+/// Cycle budget for `scale` instructions per core: far beyond any
+/// healthy run, so only a wedged simulation reaches it.
+fn budget(scale: usize) -> u64 {
+    (scale as u64).saturating_mul(2_000).max(10_000_000)
+}
+
+/// Runs `w` on `cfg` (core count included) to completion.
 ///
 /// # Panics
 ///
 /// Panics if the simulation wedges or exceeds its (very generous) cycle
 /// budget — both indicate a simulator bug.
-pub fn run_workload(w: &WorkloadSpec, model: ConsistencyModel, scale: usize, seed: u64) -> Report {
-    let n_cores = match w.suite {
-        Suite::Parallel => 8,
-        Suite::Spec => 1,
-    };
-    let cfg = SimConfig::default().with_model(model).with_cores(n_cores);
-    let traces = w.generate_cached(n_cores, scale, seed);
+pub fn run_config(w: &WorkloadSpec, cfg: SimConfig, scale: usize, seed: u64) -> Report {
+    let model = cfg.model;
+    let traces = w.generate_cached(cfg.mem.n_cores, scale, seed);
     let mut sim = Multicore::new(cfg, traces);
-    let budget = (scale as u64).saturating_mul(2_000).max(10_000_000);
-    sim.run(budget)
+    sim.run(budget(scale))
         .unwrap_or_else(|e| panic!("{} under {model}: {e}", w.name))
+}
+
+/// Runs one workload under one consistency model to completion, on the
+/// paper's machine at the suite's core count.
+///
+/// # Panics
+///
+/// As [`run_config`].
+pub fn run_workload(w: &WorkloadSpec, model: ConsistencyModel, scale: usize, seed: u64) -> Report {
+    let cfg = SimConfig::default()
+        .with_model(model)
+        .with_cores(suite_cores(w));
+    run_config(w, cfg, scale, seed)
 }
 
 /// Like [`run_workload`], but honoring the shared CLI overrides: the
 /// `--cores` core count (suite default when absent) and the
-/// `--topology` / `--engine` axes via [`Opts::apply_to`]. The sweep
-/// binaries route through this so a 256-core mesh cell on the parallel
-/// engine is one flag set away from any figure.
+/// `--topology` / `--engine` axes via [`Opts::apply_to`].
 pub fn run_workload_opts(w: &WorkloadSpec, model: ConsistencyModel, opts: &Opts) -> Report {
-    let n_cores = opts.cores.unwrap_or(match w.suite {
-        Suite::Parallel => 8,
-        Suite::Spec => 1,
-    });
+    let n_cores = opts.cores.unwrap_or_else(|| suite_cores(w));
     let cfg = opts.apply_to(SimConfig::default().with_model(model).with_cores(n_cores));
-    let traces = w.generate_cached(n_cores, opts.scale, opts.seed);
-    let mut sim = Multicore::new(cfg, traces);
-    let budget = (opts.scale as u64).saturating_mul(2_000).max(10_000_000);
-    sim.run(budget)
-        .unwrap_or_else(|e| panic!("{} under {model}: {e}", w.name))
-}
-
-/// Like [`run_workload`], but on [`EngineMode::Lockstep`], which ticks
-/// every core every cycle. Same deterministic cycles by the engine
-/// equivalence invariant; CI diffs a lockstep sweep against the default
-/// event-driven one on every push to pin that invariant on the litmus
-/// cells.
-pub fn run_workload_lockstep(
-    w: &WorkloadSpec,
-    model: ConsistencyModel,
-    scale: usize,
-    seed: u64,
-) -> Report {
-    let n_cores = match w.suite {
-        Suite::Parallel => 8,
-        Suite::Spec => 1,
-    };
-    let cfg = SimConfig::default()
-        .with_model(model)
-        .with_cores(n_cores)
-        .with_engine(EngineMode::Lockstep);
-    let traces = w.generate_cached(n_cores, scale, seed);
-    let mut sim = Multicore::new(cfg, traces);
-    let budget = (scale as u64).saturating_mul(2_000).max(10_000_000);
-    sim.run(budget)
-        .unwrap_or_else(|e| panic!("{} under {model}: {e}", w.name))
+    run_config(w, cfg, opts.scale, opts.seed)
 }
 
 /// Like [`run_workload`], but with an attached [`sa_trace::Tracer`];
@@ -106,16 +82,12 @@ pub fn run_workload_traced<T: sa_trace::Tracer>(
     seed: u64,
     tracer: impl FnOnce(usize) -> T,
 ) -> (Report, T) {
-    let n_cores = match w.suite {
-        Suite::Parallel => 8,
-        Suite::Spec => 1,
-    };
+    let n_cores = suite_cores(w);
     let cfg = SimConfig::default().with_model(model).with_cores(n_cores);
     let traces = w.generate_cached(n_cores, scale, seed);
     let mut sim = Multicore::with_tracer(cfg, traces, tracer(n_cores));
-    let budget = (scale as u64).saturating_mul(2_000).max(10_000_000);
     let report = sim
-        .run(budget)
+        .run(budget(scale))
         .unwrap_or_else(|e| panic!("{} under {model}: {e}", w.name));
     (report, sim.into_tracer())
 }
@@ -132,10 +104,7 @@ pub fn run_workload_profiled(
     seed: u64,
 ) -> Report {
     use sa_profile::{Profiler, WallProfiler};
-    let n_cores = match w.suite {
-        Suite::Parallel => 8,
-        Suite::Spec => 1,
-    };
+    let n_cores = suite_cores(w);
     let cfg = SimConfig::default().with_model(model).with_cores(n_cores);
     let traces = {
         let _p = WallProfiler::span("generate");
@@ -149,29 +118,18 @@ pub fn run_workload_profiled(
             sa_trace::NullTracer,
         )
     };
-    let budget = (scale as u64).saturating_mul(2_000).max(10_000_000);
     let report = sim
-        .run(budget)
+        .run(budget(scale))
         .unwrap_or_else(|e| panic!("{} under {model}: {e}", w.name));
     let _p = WallProfiler::span("teardown");
     drop(sim);
     report
 }
 
-/// Runs one workload under every model, returning reports in
-/// [`ConsistencyModel::ALL`] order. Honors the shared `--cores` /
-/// `--topology` / `--engine` overrides in `opts`.
-pub fn run_all_models(w: &WorkloadSpec, opts: &Opts) -> Vec<Report> {
-    ConsistencyModel::ALL
-        .iter()
-        .map(|m| run_workload_opts(w, *m, opts))
-        .collect()
-}
-
 /// One Figure-10 row: execution time of the four store-atomic configs
 /// normalized to x86.
-pub fn normalized_times(reports: &[Report]) -> Vec<f64> {
-    let x86 = &reports[0];
+pub fn normalized_times(reports: &[&Report]) -> Vec<f64> {
+    let x86 = reports[0];
     reports[1..]
         .iter()
         .map(|r| r.normalized_time(x86))
@@ -190,7 +148,7 @@ pub fn geomean_rows(rows: &[Vec<f64>]) -> Vec<f64> {
 
 /// Maps `f` over `items` on up to `jobs` worker threads, preserving
 /// order. Simulations are independent and deterministic, so this is a
-/// pure throughput win for the sweep binaries.
+/// pure throughput win for the sweeps.
 pub fn parallel_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -219,15 +177,6 @@ where
     out.into_iter()
         .map(|r| r.expect("worker filled slot"))
         .collect()
-}
-
-/// Convenience: a tiny deterministic smoke workload for the benches.
-pub fn smoke_sim(model: ConsistencyModel, instrs: usize) -> Report {
-    let w = sa_workloads::by_name("barnes").expect("barnes exists");
-    let cfg = SimConfig::default().with_model(model).with_cores(2);
-    let traces = w.generate(2, instrs, 7);
-    let mut sim = Multicore::new(cfg, traces);
-    sim.run(100_000_000).expect("smoke run completes")
 }
 
 #[cfg(test)]
@@ -267,13 +216,8 @@ mod tests {
     #[test]
     fn normalized_times_shape() {
         let w = sa_workloads::by_name("557.xz_2").unwrap();
-        let opts = Opts {
-            scale: 300,
-            seed: 1,
-            ..Opts::default()
-        };
-        let reports = run_all_models(&w, &opts);
-        assert_eq!(reports.len(), 5);
+        let reports = ConsistencyModel::ALL.map(|m| run_workload(&w, m, 300, 1));
+        let reports: Vec<&Report> = reports.iter().collect();
         let norm = normalized_times(&reports);
         assert_eq!(norm.len(), 4);
         for n in &norm {
