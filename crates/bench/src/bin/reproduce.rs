@@ -13,11 +13,11 @@
 //! Usage: `reproduce [--scale N] [--seed N] [--jobs N] [--out DIR]
 //! [--suite parallel|spec|all] [--only NAME] [--engine MODE]`
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use sa_bench::cli::{self, Spec};
-use sa_bench::reproduce::{Cell, Matrix, Scope, ARTIFACTS};
+use sa_bench::reproduce::{Matrix, Scope, ARTIFACTS};
 
 const SPEC: Spec = Spec {
     default_out: Some("results"),
@@ -29,36 +29,19 @@ const SPEC: Spec = Spec {
 
 fn main() {
     let opts = cli::parse(&SPEC).opts;
-    if opts.topology.is_some() || opts.cores.is_some() {
-        cli::usage_error(
-            &SPEC,
-            "the artifacts are the paper's machine; --topology and --cores do not apply",
-        );
-    }
     let scope = Scope::new(&opts).unwrap_or_else(|e| cli::usage_error(&SPEC, &e));
     let out = Path::new(opts.out.as_deref().expect("spec supplies a default --out"));
+    std::fs::create_dir_all(out).unwrap_or_else(|e| fail(out, e));
 
     let start = Instant::now();
-    let matrix = Matrix::simulate(scope.cells(), opts.jobs, |c| match opts.engine {
-        Some(engine) => Cell {
-            cfg: c.cfg.clone().with_engine(engine),
-            ..c.clone()
-        }
-        .simulate(scope.scale, scope.seed),
-        None => c.simulate(scope.scale, scope.seed),
-    });
+    let matrix = Matrix::simulate(scope.cells(), opts.jobs, |c| scope.simulate(c));
     let seconds = start.elapsed().as_secs_f64();
 
-    let written: Vec<_> = ARTIFACTS
+    let written: Vec<PathBuf> = ARTIFACTS
         .iter()
         .map(|a| {
             let path = out.join(format!("{}.txt", a.name));
-            std::fs::create_dir_all(out)
-                .and_then(|()| std::fs::write(&path, a.render(&scope, &matrix)))
-                .unwrap_or_else(|e| {
-                    eprintln!("reproduce: writing {}: {e}", path.display());
-                    std::process::exit(1);
-                });
+            std::fs::write(&path, a.render(&scope, &matrix)).unwrap_or_else(|e| fail(&path, e));
             path
         })
         .collect();
@@ -72,4 +55,9 @@ fn main() {
         scope.seed,
         opts.jobs
     );
+}
+
+fn fail(path: &Path, e: std::io::Error) -> ! {
+    eprintln!("reproduce: writing {}: {e}", path.display());
+    std::process::exit(1);
 }

@@ -21,7 +21,7 @@ use sa_workloads::{Suite, WorkloadSpec};
 
 /// The core count a workload runs on: 8 for the parallel suite, 1 for
 /// SPEC.
-pub fn suite_cores(w: &WorkloadSpec) -> usize {
+pub(crate) fn suite_cores(w: &WorkloadSpec) -> usize {
     match w.suite {
         Suite::Parallel => 8,
         Suite::Spec => 1,
@@ -40,7 +40,7 @@ fn budget(scale: usize) -> u64 {
 ///
 /// Panics if the simulation wedges or exceeds its (very generous) cycle
 /// budget — both indicate a simulator bug.
-pub fn run_config(w: &WorkloadSpec, cfg: SimConfig, scale: usize, seed: u64) -> Report {
+pub(crate) fn run_config(w: &WorkloadSpec, cfg: SimConfig, scale: usize, seed: u64) -> Report {
     let model = cfg.model;
     let traces = w.generate_cached(cfg.mem.n_cores, scale, seed);
     let mut sim = Multicore::new(cfg, traces);

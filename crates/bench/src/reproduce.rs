@@ -13,7 +13,7 @@ use std::fmt::{self, Write};
 
 use sa_isa::ConsistencyModel;
 use sa_litmus::{compare, explore, explore_pc, suite, ForwardPolicy};
-use sa_sim::{Multicore, Report, SimConfig, StallBreakdown, Topology};
+use sa_sim::{EngineMode, Multicore, Report, SimConfig, StallBreakdown, Topology};
 use sa_workloads::{Suite, WorkloadSpec};
 
 use crate::{geomean_rows, normalized_times, parallel_map, run_config, suite_cores, Opts};
@@ -30,7 +30,8 @@ const ENERGY: [&str; 5] = [
 ];
 
 /// What one run covers: the workloads `--suite`/`--only` select (Table IV,
-/// Figures 9–10) and the energy table's, at one scale and seed.
+/// Figures 9–10) and the energy table's, at one scale and seed, on one
+/// engine.
 #[derive(Debug, Clone)]
 pub struct Scope {
     /// Instructions per core of every cell.
@@ -38,14 +39,23 @@ pub struct Scope {
     /// Trace-generation seed of every cell.
     pub seed: u64,
     /// Table IV's and Figures 9–10's benchmarks, in suite order.
-    pub workloads: Vec<WorkloadSpec>,
+    workloads: Vec<WorkloadSpec>,
     /// The energy table's benchmarks: the five of §VI-B, or `--only`'s.
-    pub energy: Vec<WorkloadSpec>,
+    energy: Vec<WorkloadSpec>,
+    /// `--engine`: every engine must render the same bytes.
+    engine: Option<EngineMode>,
 }
 
 impl Scope {
-    /// The scope `opts` selects; `Err` names an unknown `--only`.
+    /// The scope `opts` selects. `Err` names an unknown `--only`, or a
+    /// `--topology`/`--cores` override: the artifacts describe the
+    /// paper's machine.
     pub fn new(opts: &Opts) -> Result<Scope, String> {
+        if opts.topology.is_some() || opts.cores.is_some() {
+            return Err("the artifacts are the paper's machine; \
+                        --topology and --cores do not apply"
+                .into());
+        }
         let workloads = opts.workloads()?;
         let energy = match opts.only {
             Some(_) => workloads.clone(),
@@ -56,6 +66,7 @@ impl Scope {
             seed: opts.seed,
             workloads,
             energy,
+            engine: opts.engine,
         })
     }
 
@@ -63,11 +74,30 @@ impl Scope {
     pub fn cells(&self) -> Vec<Cell> {
         ARTIFACTS.iter().flat_map(|a| (a.cells)(self)).collect()
     }
+
+    /// Runs `cell` to completion at this scope's scale and seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation wedges — a simulator bug.
+    pub fn simulate(&self, cell: &Cell) -> Report {
+        let mut cfg = cell.cfg.clone();
+        if let Some(engine) = self.engine {
+            cfg = cfg.with_engine(engine);
+        }
+        match &cell.program {
+            Program::Workload(w) => run_config(w, cfg, self.scale, self.seed),
+            Program::PointerChase => {
+                let mut sim = Multicore::new(cfg, vec![pointer_chase(self.scale / 4)]);
+                sim.run(u64::MAX).expect("pointer chase completes")
+            }
+        }
+    }
 }
 
 /// The program a cell runs.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Program {
+enum Program {
     /// A synthetic benchmark: `scale` instructions on each core.
     Workload(WorkloadSpec),
     /// Ablation 4's dependent load stream: `scale / 4` loads on one core.
@@ -77,15 +107,14 @@ pub enum Program {
 /// One simulation: a program on a machine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    /// What runs.
-    pub program: Program,
-    /// The machine it runs on, core count included.
-    pub cfg: SimConfig,
+    program: Program,
+    /// The machine, core count included.
+    cfg: SimConfig,
 }
 
 impl Cell {
     /// `w` on `cfg` at its suite's core count.
-    pub fn workload(w: &WorkloadSpec, cfg: SimConfig) -> Cell {
+    fn workload(w: &WorkloadSpec, cfg: SimConfig) -> Cell {
         Cell {
             cfg: cfg.with_cores(suite_cores(w)),
             program: Program::Workload(w.clone()),
@@ -93,23 +122,8 @@ impl Cell {
     }
 
     /// `w` under `model` on the paper's machine (Table III).
-    pub fn model(w: &WorkloadSpec, model: ConsistencyModel) -> Cell {
+    fn model(w: &WorkloadSpec, model: ConsistencyModel) -> Cell {
         Cell::workload(w, SimConfig::default().with_model(model))
-    }
-
-    /// Runs the cell to completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation wedges — a simulator bug.
-    pub fn simulate(&self, scale: usize, seed: u64) -> Report {
-        match &self.program {
-            Program::Workload(w) => run_config(w, self.cfg.clone(), scale, seed),
-            Program::PointerChase => {
-                let mut sim = Multicore::new(self.cfg.clone(), vec![pointer_chase(scale / 4)]);
-                sim.run(u64::MAX).expect("pointer chase completes")
-            }
-        }
     }
 }
 
@@ -164,8 +178,7 @@ type Render = fn(&Scope, &Matrix, &mut String) -> fmt::Result;
 pub struct Artifact {
     /// File stem: the artifact is `<name>.txt`.
     pub name: &'static str,
-    /// The cells the renderer reads.
-    pub cells: fn(&Scope) -> Vec<Cell>,
+    cells: fn(&Scope) -> Vec<Cell>,
     write: Render,
 }
 
@@ -794,7 +807,7 @@ mod tests {
         let runs = Mutex::new(Vec::new());
         let m = Matrix::simulate(listed.clone(), 2, |c| {
             runs.lock().unwrap().push(c.clone());
-            c.simulate(scope.scale, scope.seed)
+            scope.simulate(c)
         });
         let runs = runs.into_inner().unwrap();
 
@@ -848,18 +861,30 @@ mod tests {
     }
 
     #[test]
-    fn only_narrows_the_workload_tables_and_the_energy_table() {
-        let scope = Scope::new(&Opts {
-            only: Some("radix".into()),
+    fn only_narrows_energy_too_and_every_engine_renders_the_same_bytes() {
+        let opts = Opts {
+            scale: 100,
+            only: Some("557.xz_2".into()),
             ..Opts::default()
+        };
+        let event = Scope::new(&opts).unwrap();
+        assert_eq!(event.workloads.len(), 1);
+        assert_eq!(event.energy, event.workloads);
+        let lockstep = Scope::new(&Opts {
+            engine: Some(EngineMode::Lockstep),
+            ..opts.clone()
         })
         .unwrap();
-        assert_eq!(scope.workloads.len(), 1);
-        assert_eq!(scope.energy, scope.workloads);
+        let render = |scope: &Scope| {
+            let m = Matrix::simulate(scope.cells(), 2, |c| scope.simulate(c));
+            ARTIFACTS.map(|a| a.render(scope, &m))
+        };
+        assert_eq!(render(&event), render(&lockstep));
         assert!(Scope::new(&Opts {
-            only: Some("nosuch".into()),
-            ..Opts::default()
+            cores: Some(4),
+            ..opts
         })
-        .is_err());
+        .unwrap_err()
+        .contains("--cores"));
     }
 }
