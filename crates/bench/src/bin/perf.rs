@@ -31,8 +31,8 @@
 //! regenerating a committed baseline.
 //!
 //! `--engine` runs every cell, litmus cells included, on another engine
-//! (`lockstep`, `parallel:<t>`); its cycles must equal the default
-//! event-driven run's, which `bench-diff` checks.
+//! (`lockstep`, `parallel:<t>`; not with `--profile`); its cycles must
+//! equal the default event-driven run's, which `bench-diff` checks.
 //!
 //! Usage: `perf [--scale N] [--seed N] [--jobs N] [--out PATH]
 //! [--only NAME,NAME] [--repeat N] [--profile] [--engine MODE]
@@ -187,6 +187,10 @@ fn main() {
     let opts = args.opts.clone();
     let out_path = opts.out.clone().expect("spec supplies a default --out");
     let profile_on = args.switch("--profile");
+    if profile_on && opts.engine.is_some() {
+        eprintln!("perf: --profile runs the event-driven engine; drop --engine");
+        exit(2);
+    }
     let engine = opts.engine.unwrap_or(EngineMode::EventDriven);
     let repeat: usize = args
         .value("--repeat")

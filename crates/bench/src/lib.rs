@@ -53,7 +53,7 @@ pub(crate) fn run_config(w: &WorkloadSpec, cfg: SimConfig, scale: usize, seed: u
 ///
 /// # Panics
 ///
-/// As [`run_config`].
+/// Panics if the simulation wedges — a simulator bug.
 pub fn run_workload(w: &WorkloadSpec, model: ConsistencyModel, scale: usize, seed: u64) -> Report {
     let cfg = SimConfig::default()
         .with_model(model)
