@@ -161,16 +161,32 @@ fn forensics_blame_matrices_match() {
     }
 }
 
-/// A 256-core mesh cell completes and stays bit-exact when sharded —
-/// the scale the parallel engine exists for (kept to one model and a
-/// small trace so the suite stays quick).
+/// Many-core cells complete and stay bit-exact when sharded — the
+/// scale the parallel engine exists for (radix, whose invalidation
+/// storms stress the directory, on small traces so the suite stays
+/// quick): 8 to 256 cores on both topologies under 4 shards, and the
+/// 64-core mesh under every configuration on 2 shards.
 #[test]
 fn many_core_mesh_matches() {
     let w = sa_workloads::by_name("radix").expect("radix exists");
-    let traces = w.generate(256, 60, 7);
-    let cfg = SimConfig::default()
-        .with_cores(256)
-        .with_topology(Topology::Mesh2D { width: 16 });
-    let label = "radix x256 mesh:16";
-    run_both(cfg, traces, 4, label);
+    let cfg = |n: usize, topo: Topology| SimConfig::default().with_cores(n).with_topology(topo);
+    let mesh16 = Topology::Mesh2D { width: 16 };
+    run_both(
+        cfg(256, mesh16),
+        w.generate(256, 60, 7),
+        4,
+        "radix x256 mesh:16",
+    );
+    for n in [8, 64, 128, 256] {
+        for topo in topologies(n) {
+            let label = format!("radix x{n} {topo} scale 100");
+            run_both(cfg(n, topo), w.generate(n, 100, 42), 4, &label);
+        }
+    }
+    let mesh8 = Topology::Mesh2D { width: 8 };
+    let traces = w.generate(64, 500, 42);
+    for model in ConsistencyModel::ALL {
+        let label = format!("radix x64 mesh:8 scale 500 under {model}");
+        run_both(cfg(64, mesh8).with_model(model), traces.clone(), 2, &label);
+    }
 }
