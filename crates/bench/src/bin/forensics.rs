@@ -22,10 +22,7 @@
 //! [--serve-metrics PORT]`. `--litmus n6` runs the paper's §III
 //! walkthrough and prints its single-episode blame report.
 
-use std::process::exit;
-use std::sync::Arc;
-
-use sa_bench::cli::{self, Arity, Flag, Spec};
+use sa_bench::cli::{self, Arity, Common, Flag, Spec};
 use sa_bench::serve::MetricsServer;
 use sa_bench::{parallel_map, run_workload_traced};
 use sa_forensics::{Forensics, Summary};
@@ -51,7 +48,7 @@ const EXTRAS: &[Flag] = &[
     },
     Flag {
         name: "--serve-metrics",
-        arity: Arity::One,
+        arity: Arity::Port,
         help: "serve live /metrics and /forensics on this localhost port",
     },
 ];
@@ -63,14 +60,15 @@ const SPEC_CLI: Spec = Spec {
     ..Spec::new(
         "forensics",
         "causal gate-episode analysis with cross-core blame attribution",
+        &[
+            Common::Scale,
+            Common::Seed,
+            Common::Only,
+            Common::Jobs,
+            Common::Out,
+        ],
     )
 };
-
-fn die(msg: &str) -> ! {
-    eprintln!("forensics: {msg}\n");
-    eprint!("{}", cli::usage(&SPEC_CLI));
-    exit(2);
-}
 
 fn run_litmus_traced(name: &str, model: ConsistencyModel) -> (Report, Forensics) {
     let ct = match name {
@@ -137,34 +135,16 @@ fn main() {
     let args = cli::parse(&SPEC_CLI);
     let opts = &args.opts;
     let out_dir = opts.out.clone().expect("spec supplies a default --out");
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("creating {out_dir}: {e}"));
 
-    let server = args.value("--serve-metrics").map(|p| {
-        let port: u16 = p
-            .parse()
-            .unwrap_or_else(|_| die(&format!("--serve-metrics takes a port number, got {p:?}")));
+    let server = args.port("--serve-metrics").map(|port| {
         let srv = MetricsServer::start(port)
-            .unwrap_or_else(|e| die(&format!("binding port {port}: {e}")));
+            .unwrap_or_else(|e| cli::usage_error(&SPEC_CLI, &format!("binding port {port}: {e}")));
         eprintln!("serving live metrics on http://127.0.0.1:{}/", srv.port());
-        Arc::new(srv)
+        srv
     });
 
     let models: Vec<ConsistencyModel> = match args.value("--model") {
-        Some(label) => {
-            let m = ConsistencyModel::ALL
-                .iter()
-                .copied()
-                .find(|m| m.label() == label)
-                .unwrap_or_else(|| {
-                    let known = ConsistencyModel::ALL
-                        .iter()
-                        .map(|m| m.label())
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    die(&format!("unknown config label {label:?}; have: {known}"))
-                });
-            vec![m]
-        }
+        Some(label) => vec![cli::model(&SPEC_CLI, label)],
         None => ConsistencyModel::ALL.to_vec(),
     };
 
@@ -192,10 +172,10 @@ fn main() {
     } else {
         for n in &litmus_sel {
             if !LITMUS.contains(n) {
-                die(&format!(
-                    "unpinned litmus test {n:?}; have: {}",
-                    LITMUS.join(", ")
-                ));
+                cli::usage_error(
+                    &SPEC_CLI,
+                    &format!("unpinned litmus test {n:?}; have: {}", LITMUS.join(", ")),
+                );
             }
             entries.push(Entry {
                 name: n.to_string(),
@@ -208,11 +188,14 @@ fn main() {
             } else if PARALLEL.contains(&only.as_str()) {
                 "parallel"
             } else {
-                die(&format!(
-                    "unpinned workload {only:?}; have: {}, {}",
-                    PARALLEL.join(", "),
-                    SPEC.join(", ")
-                ))
+                cli::usage_error(
+                    &SPEC_CLI,
+                    &format!(
+                        "unpinned workload {only:?}; have: {}, {}",
+                        PARALLEL.join(", "),
+                        SPEC.join(", ")
+                    ),
+                )
             };
             entries.push(Entry {
                 name: only.clone(),
@@ -220,6 +203,8 @@ fn main() {
             });
         }
     }
+
+    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("creating {out_dir}: {e}"));
 
     let cells: Vec<(&Entry, ConsistencyModel)> = entries
         .iter()

@@ -16,7 +16,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use sa_bench::cli::{self, Spec};
+use sa_bench::cli::{self, Common, Spec};
 use sa_bench::reproduce::{Matrix, Scope, ARTIFACTS};
 
 const SPEC: Spec = Spec {
@@ -24,6 +24,15 @@ const SPEC: Spec = Spec {
     ..Spec::new(
         "reproduce",
         "every paper table and figure, from one deduplicated cell matrix",
+        &[
+            Common::Scale,
+            Common::Seed,
+            Common::Suite,
+            Common::Only,
+            Common::Jobs,
+            Common::Engine,
+            Common::Out,
+        ],
     )
 };
 

@@ -1,14 +1,13 @@
-//! Experiment runner shared by the `sa-bench` binaries and the
-//! benches. `reproduce` regenerates every table and figure of the paper's
-//! evaluation into `results/` from one deduplicated cell matrix (see
-//! [`reproduce`]) at `--scale N` instructions per core (default 30000;
-//! the paper simulates ~1 B instructions per benchmark — scale up as your
-//! patience allows; shapes stabilize well before 100k).
+//! Experiment runner shared by the `sa-bench` binaries. `reproduce`
+//! regenerates every table and figure of the paper's evaluation into
+//! `results/` from one deduplicated cell matrix (see [`reproduce`]) at
+//! `--scale N` instructions per core (default 30000; the paper simulates
+//! ~1 B instructions per benchmark — scale up as your patience allows;
+//! shapes stabilize well before 100k).
 
 pub mod cli;
 pub mod client;
 pub mod fuzz;
-pub mod harness;
 pub mod reproduce;
 pub mod serve;
 
@@ -59,15 +58,6 @@ pub fn run_workload(w: &WorkloadSpec, model: ConsistencyModel, scale: usize, see
         .with_model(model)
         .with_cores(suite_cores(w));
     run_config(w, cfg, scale, seed)
-}
-
-/// Like [`run_workload`], but honoring the shared CLI overrides: the
-/// `--cores` core count (suite default when absent) and the
-/// `--topology` / `--engine` axes via [`Opts::apply_to`].
-pub fn run_workload_opts(w: &WorkloadSpec, model: ConsistencyModel, opts: &Opts) -> Report {
-    let n_cores = opts.cores.unwrap_or_else(|| suite_cores(w));
-    let cfg = opts.apply_to(SimConfig::default().with_model(model).with_cores(n_cores));
-    run_config(w, cfg, opts.scale, opts.seed)
 }
 
 /// Like [`run_workload`], but with an attached [`sa_trace::Tracer`];

@@ -47,15 +47,8 @@ pub struct Scope {
 }
 
 impl Scope {
-    /// The scope `opts` selects. `Err` names an unknown `--only`, or a
-    /// `--topology`/`--cores` override: the artifacts describe the
-    /// paper's machine.
+    /// The scope `opts` selects. `Err` names an unknown `--only`.
     pub fn new(opts: &Opts) -> Result<Scope, String> {
-        if opts.topology.is_some() || opts.cores.is_some() {
-            return Err("the artifacts are the paper's machine; \
-                        --topology and --cores do not apply"
-                .into());
-        }
         let workloads = opts.workloads()?;
         let energy = match opts.only {
             Some(_) => workloads.clone(),
@@ -880,11 +873,5 @@ mod tests {
             ARTIFACTS.map(|a| a.render(scope, &m))
         };
         assert_eq!(render(&event), render(&lockstep));
-        assert!(Scope::new(&Opts {
-            cores: Some(4),
-            ..opts
-        })
-        .unwrap_err()
-        .contains("--cores"));
     }
 }

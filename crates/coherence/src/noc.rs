@@ -14,7 +14,8 @@
 //!
 //! None of these counters feed back into timing: they are written on
 //! paths the protocol already takes and read only at end of run, so the
-//! bench-diff 0.00-drift contract is preserved by construction.
+//! 0.00-drift contract (`tests/pinned_stats.rs`) is preserved by
+//! construction.
 
 use sa_isa::{Cycle, FastMap, Line};
 use sa_metrics::{JsonWriter, Log2Hist, Registry};

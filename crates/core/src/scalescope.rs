@@ -5,8 +5,8 @@
 //! `run_span` passes), **barrier-A wait** (the publish/decide
 //! rendezvous), **exchange** (routing the outbox and injecting the
 //! inbox), and **barrier-B wait** (the delivery rendezvous). This
-//! module records that anatomy per shard and per epoch, so a slow cell
-//! in `BENCH_scale.json` can be attributed instead of guessed at.
+//! module sums that anatomy per shard, so a slow parallel run can be
+//! attributed instead of guessed at.
 //!
 //! Two kinds of fields coexist and must not be confused:
 //!
@@ -20,7 +20,7 @@
 //!
 //! Neither kind feeds back into simulated time — telemetry is written
 //! around the phases the engine already executes, so the bit-exactness
-//! contract (`tests/parallel_equivalence.rs`, bench-diff 0.00 drift)
+//! contract (`tests/parallel_equivalence.rs`, `tests/pinned_stats.rs`)
 //! holds with telemetry enabled. When the parallel engine is not used
 //! the telemetry is not merely zeroed, it is never allocated:
 //! `Multicore::scalescope()` returns `None` after serial runs.
@@ -36,17 +36,11 @@
 //!   time in.
 
 use sa_metrics::{JsonWriter, Log2Hist, Registry};
-use sa_trace::EpochSpan;
 
-/// Cap on retained per-epoch lane records per shard. Aggregate sums and
-/// histograms stay exact past the cap; only the Perfetto lane truncates
-/// (with `lane_dropped` recording how much).
-pub const LANE_CAP: usize = 65_536;
-
-/// One epoch of one shard, in host nanoseconds — the Perfetto lane
-/// record. Phase order within the epoch loop: work (phase 1 + phase 2
-/// spans), barrier-A wait, exchange (outbox routing + inbox injection,
-/// which straddle barrier B), barrier-B wait.
+/// One epoch of one shard, in host nanoseconds. Phase order within the
+/// epoch loop: work (phase 1 + phase 2 spans), barrier-A wait, exchange
+/// (outbox routing + inbox injection, which straddle barrier B),
+/// barrier-B wait.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochSlice {
     /// Local simulation time (both `run_span` passes).
@@ -92,26 +86,16 @@ pub struct ShardScope {
     pub epoch_cycles: Log2Hist,
     /// Distribution of outbox sizes per exchange.
     pub exchange_events: Log2Hist,
-    /// Per-epoch lane records (capped at [`LANE_CAP`]).
-    pub lane: Vec<EpochSlice>,
-    /// Epochs whose lane record was dropped by the cap.
-    pub lane_dropped: u64,
 }
 
 impl ShardScope {
-    /// Closes out one epoch: fold the slice into the aggregates and
-    /// retain it for the lane if under the cap.
+    /// Closes out one epoch: folds the slice into the aggregates.
     pub fn record_epoch(&mut self, slice: EpochSlice, cycles: u64) {
         self.work_ns += slice.work_ns;
         self.wait_a_ns += slice.wait_a_ns;
         self.wait_b_ns += slice.wait_b_ns;
         self.exchange_ns += slice.exchange_ns;
         self.epoch_cycles.observe(cycles);
-        if self.lane.len() < LANE_CAP {
-            self.lane.push(slice);
-        } else {
-            self.lane_dropped += 1;
-        }
     }
 
     /// Host ns accounted to one of the four phases.
@@ -167,8 +151,7 @@ impl ParallelScope {
         accounted as f64 / ((self.threads as u64 * self.wall_ns).max(1)) as f64
     }
 
-    /// Work / wait / exchange as fractions of total accounted time —
-    /// the `scale --explain` breakdown triple.
+    /// Work / wait / exchange as fractions of total accounted time.
     pub fn fractions(&self) -> (f64, f64, f64) {
         let total = (self.work_ns() + self.wait_ns() + self.exchange_ns()).max(1) as f64;
         (
@@ -309,41 +292,9 @@ impl ParallelScope {
                 .field_uint("events_in", s.events_in)
                 .field_uint("last_arriver_a", s.last_arriver_a)
                 .field_uint("last_arriver_b", s.last_arriver_b)
-                .field_uint("lane_dropped", s.lane_dropped)
                 .end_object();
         }
         j.end_array().end_object();
-    }
-
-    /// Lays the per-epoch lane records out as Perfetto spans, one track
-    /// per shard ([`sa_trace::export_chrome_epoch_lanes`] renders them).
-    /// Timestamps are cumulative within each shard — the slices are
-    /// contiguous in the shard's wall time by construction.
-    pub fn epoch_spans(&self) -> Vec<EpochSpan> {
-        let mut out = Vec::new();
-        for s in &self.per_shard {
-            let mut ts = 0u64;
-            for (epoch, e) in s.lane.iter().enumerate() {
-                for (name, dur) in [
-                    ("work", e.work_ns),
-                    ("barrier-a", e.wait_a_ns),
-                    ("exchange", e.exchange_ns),
-                    ("barrier-b", e.wait_b_ns),
-                ] {
-                    if dur > 0 {
-                        out.push(EpochSpan {
-                            shard: s.shard as u32,
-                            epoch: epoch as u64,
-                            name,
-                            ts_ns: ts,
-                            dur_ns: dur,
-                        });
-                        ts += dur;
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -396,19 +347,6 @@ mod tests {
         assert!((w + wait + x - 1.0).abs() < 1e-9);
         // Per shard: 430 work, 450 wait (300 A + 150 B), 100 exchange.
         assert!(wait > w && w > x);
-    }
-
-    #[test]
-    fn epoch_spans_are_contiguous_per_shard() {
-        let p = scope_with(1);
-        let spans = p.epoch_spans();
-        // 4 phases in epoch 0, 1 non-empty phase in epoch 1.
-        assert_eq!(spans.len(), 5);
-        for pair in spans.windows(2) {
-            assert_eq!(pair[0].ts_ns + pair[0].dur_ns, pair[1].ts_ns);
-        }
-        assert_eq!(spans[4].name, "work");
-        assert_eq!(spans[4].epoch, 1);
     }
 
     #[test]

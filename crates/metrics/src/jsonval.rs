@@ -1,10 +1,10 @@
 //! Minimal JSON reader — the inverse of [`crate::json::JsonWriter`].
 //!
-//! The bench harness writes its baselines as JSON and, until now, read
-//! them back with ad-hoc python in CI. This module closes the loop
-//! offline: a small recursive-descent parser into a [`JsonValue`] tree,
-//! sufficient for the machine-generated documents this repository
-//! produces (`BENCH_*.json`, `results/forensics_*.json`). It accepts
+//! The bench binaries and sa-serve write JSON documents; this module
+//! reads them back offline: a small recursive-descent parser into a
+//! [`JsonValue`] tree, sufficient for the machine-generated documents
+//! this repository produces (`results/forensics_*.json`, sa-serve job
+//! specs and results). It accepts
 //! standard JSON — objects, arrays, strings with escapes, numbers,
 //! booleans, null — and rejects everything else with a byte-offset
 //! error. Not a general-purpose library: no streaming, no
@@ -284,11 +284,11 @@ mod tests {
 
     #[test]
     fn parses_nested_document() {
-        let doc = r#"{"schema":"sa-bench-perf-v1","workloads":[{"name":"n6","configs":[{"cycles":123,"ipc":0.5}]}]}"#;
+        let doc = r#"{"schema":"sa-bench-forensics-v1","workloads":[{"name":"n6","configs":[{"cycles":123,"ipc":0.5}]}]}"#;
         let v = JsonValue::parse(doc).unwrap();
         assert_eq!(
             v.get("schema").and_then(JsonValue::as_str),
-            Some("sa-bench-perf-v1")
+            Some("sa-bench-forensics-v1")
         );
         let cell = v
             .get("workloads")

@@ -30,8 +30,8 @@
 //!   exporters (same style as `sa-trace::chrome`).
 //!
 //! The crate depends only on `sa-isa`; the simulator layers (`sa-ooo`,
-//! `sa-sim`) feed it, and `sa-bench --bin perf` turns it into the
-//! repository's perf-regression baseline (`BENCH_pr2.json`).
+//! `sa-sim`) feed it, and the `sa-bench` binaries and sa-serve export
+//! it (`results/`, `/metrics`).
 
 pub mod cpi;
 pub mod hist;

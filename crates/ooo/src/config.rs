@@ -119,7 +119,7 @@ pub struct CoreConfig {
     pub sb_commit_cycles: u64,
     /// Key registers in the retire gate. 1 is the paper's design; more
     /// lets further SLF loads retire through a closed gate (the
-    /// multi-key extension, see the `ablation` harness).
+    /// multi-key extension, see `results/ablation.txt`).
     pub gate_keys: usize,
     /// Deliberately broken pipeline variant for fuzzer self-tests
     /// (`None` in every real configuration).

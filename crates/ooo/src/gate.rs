@@ -25,11 +25,11 @@ impl std::fmt::Display for Key {
 /// be open for that load to retire in the first place.
 ///
 /// This implementation generalizes the register to a small queue of
-/// `capacity` keys (the *multi-key gate* extension studied in the
-/// `ablation` harness): with capacity 1 it is exactly the paper's gate;
-/// with more, a retiring SLF load can pass through a closed gate by
-/// depositing its own key, and the gate opens only when *every* deposited
-/// key's store has written to the L1.
+/// `capacity` keys (the *multi-key gate* extension studied in
+/// `results/ablation.txt`): with capacity 1 it is exactly the paper's
+/// gate; with more, a retiring SLF load can pass through a closed gate
+/// by depositing its own key, and the gate opens only when *every*
+/// deposited key's store has written to the L1.
 ///
 /// * A retiring SLF load whose forwarding store is still in the SQ/SB
 ///   *closes* the gate, locking it with a copy of the store's key.

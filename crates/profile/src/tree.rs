@@ -11,7 +11,7 @@
 //! Export comes in three shapes, matching the three consumers:
 //!
 //! * [`ProfileTree::to_json`] — nested tree with self/total/quantiles,
-//!   served by `GET /profile` and printed by `perf --profile`;
+//!   served by `GET /profile` and written by `perf`;
 //! * [`ProfileTree::folded`] — Brendan-Gregg folded-stack lines
 //!   (`a;b;c <self_ns>`), one flamegraph collapse away from a picture;
 //! * [`ProfileTree::to_chrome`] — sequential slice layout through

@@ -170,67 +170,6 @@ pub fn export_chrome_host_spans(spans: &[HostSpan]) -> String {
     json.finish()
 }
 
-/// One phase of one shard's epoch on the parallel engine's host
-/// timeline, for [`export_chrome_epoch_lanes`].
-///
-/// Like [`HostSpan`] these carry real host nanoseconds, not simulated
-/// cycles — the parallel engine (sa-sim's scalescope telemetry) lays
-/// each shard's per-epoch work / barrier-wait / exchange slices out as
-/// a sequence of these; sa-sim depends on this crate, so the span type
-/// lives here and the producer converts into it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpochSpan {
-    /// Shard (worker thread) index; becomes the track.
-    pub shard: u32,
-    /// Epoch number, carried in `args`.
-    pub epoch: u64,
-    /// Phase label: `"work"`, `"barrier-a"`, `"exchange"`, `"barrier-b"`.
-    pub name: &'static str,
-    /// Start offset in nanoseconds from the parallel region's start.
-    pub ts_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// Process id of the epoch-lane track group (out of the way of per-core
-/// pids and the host profile's pid 0).
-const EPOCH_PID: u32 = 999_999;
-
-/// Renders the parallel engine's epoch/barrier lanes as Chrome
-/// trace-event JSON: one `parallel engine` process with a track per
-/// shard, each epoch a work → barrier-a → exchange → barrier-b slice
-/// sequence. Timestamps are nanoseconds written as fractional
-/// microseconds, the same convention as [`export_chrome_host_spans`].
-pub fn export_chrome_epoch_lanes(spans: &[EpochSpan]) -> String {
-    let mut json = Json::new();
-    json.push(format!(
-        "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{EPOCH_PID},\
-         \"args\":{{\"name\":\"parallel engine\"}}}}"
-    ));
-    let mut named: Vec<u32> = Vec::new();
-    for s in spans {
-        if !named.contains(&s.shard) {
-            named.push(s.shard);
-            json.push(format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{EPOCH_PID},\
-                 \"tid\":{},\"args\":{{\"name\":\"shard {}\"}}}}",
-                s.shard + 1,
-                s.shard
-            ));
-        }
-        json.push(format!(
-            "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"epoch\",\"pid\":{EPOCH_PID},\
-             \"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"epoch\":{}}}}}",
-            esc(s.name),
-            s.shard + 1,
-            s.ts_ns as f64 / 1000.0,
-            (s.dur_ns.max(1)) as f64 / 1000.0,
-            s.epoch,
-        ));
-    }
-    json.finish()
-}
-
 /// Renders `events` as Chrome trace-event JSON.
 ///
 /// Events must be in per-core nondecreasing cycle order — what every
@@ -514,40 +453,6 @@ mod tests {
         assert!(out.contains("\"key\":\"k3.0\""));
         assert!(out.contains("gate closed [k3.0]"));
         assert!(out.contains("\"ts\":20,\"dur\":75"));
-    }
-
-    #[test]
-    fn epoch_lanes_track_per_shard() {
-        let spans = vec![
-            EpochSpan {
-                shard: 0,
-                epoch: 0,
-                name: "work",
-                ts_ns: 0,
-                dur_ns: 1500,
-            },
-            EpochSpan {
-                shard: 0,
-                epoch: 0,
-                name: "barrier-a",
-                ts_ns: 1500,
-                dur_ns: 300,
-            },
-            EpochSpan {
-                shard: 1,
-                epoch: 0,
-                name: "work",
-                ts_ns: 0,
-                dur_ns: 1800,
-            },
-        ];
-        let out = export_chrome_epoch_lanes(&spans);
-        assert!(out.contains("parallel engine"));
-        assert!(out.contains("\"name\":\"shard 0\""));
-        assert!(out.contains("\"name\":\"shard 1\""));
-        assert!(out.contains("\"name\":\"barrier-a\""));
-        assert!(out.contains("\"ts\":1.500,\"dur\":0.300"));
-        assert_eq!(out.matches('{').count(), out.matches('}').count());
     }
 
     #[test]

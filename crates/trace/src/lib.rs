@@ -54,9 +54,7 @@ pub mod event;
 pub mod pipeview;
 pub mod sink;
 
-pub use chrome::{
-    export_chrome_epoch_lanes, export_chrome_host_spans, export_chrome_trace, EpochSpan, HostSpan,
-};
+pub use chrome::{export_chrome_host_spans, export_chrome_trace, HostSpan};
 pub use event::{
     EventKind, GateKey, GateOpenReason, SquashKind, TraceEvent, TraceNode, UopKind, EVENT_KINDS,
 };

@@ -108,7 +108,7 @@ impl Tracer for RingTracer {
 /// The occupancy histograms are the raw series behind Figure 9's stall
 /// attribution: a workload whose dispatch stalls are charged to the
 /// SQ/SB must also show the SQ/SB occupancy histogram pinned at
-/// capacity, and vice versa — the cross-check the `fig9` harness uses.
+/// capacity, and vice versa — a cross-check of `results/fig9.txt`.
 #[derive(Debug, Clone, Default)]
 pub struct CountersTracer {
     counts: [u64; EVENT_KINDS],

@@ -14,7 +14,6 @@
 
 use sa_isa::{ConsistencyModel, Reg, Trace, TraceBuilder};
 use sa_sim::{EngineMode, Multicore, NocStats, ParallelScope, SimConfig, Topology};
-use sa_trace::export_chrome_epoch_lanes;
 
 /// An 8-core radix run big enough that every shard crosses many epoch
 /// barriers and the spawn/join overhead is noise.
@@ -215,19 +214,4 @@ fn invalidation_storm_is_detected_and_ranked() {
     for pair in noc.storms.windows(2) {
         assert!(pair[0].fanout >= pair[1].fanout, "storms ranked by fan-out");
     }
-}
-
-/// The per-epoch lane renders as Perfetto tracks: contiguous slices on
-/// one synthetic process, one track per shard.
-#[test]
-fn epoch_lanes_export_to_perfetto() {
-    let (sim, _) = run_parallel(Topology::Mesh2D { width: 4 }, 2);
-    let scope = sim.scalescope().expect("scope recorded");
-    let spans = scope.epoch_spans();
-    assert!(!spans.is_empty(), "a real run leaves lane records");
-    let json = export_chrome_epoch_lanes(&spans);
-    assert!(json.contains("parallel engine"));
-    assert!(json.contains("shard 0"));
-    assert!(json.contains("shard 1"));
-    assert!(json.contains("\"epoch\""));
 }
