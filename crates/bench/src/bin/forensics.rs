@@ -1,7 +1,7 @@
-//! Speculation-forensics sweep: runs the pinned suite (same entries as
-//! `--bin perf`) under every consistency configuration with the
-//! `sa_forensics::Forensics` stream analyzer attached, and writes per
-//! workload:
+//! Speculation-forensics sweep: runs the pinned suite
+//! (`sa_bench::pinned_suite`, the cells `--bin perf` profiles) under
+//! every consistency configuration with the `sa_forensics::Forensics`
+//! stream analyzer attached, and writes per workload:
 //!
 //! * `results/forensics_<name>.json` — full machine-readable summary
 //!   (blame matrix, hotspot table, episode ring, distributions) per
@@ -24,16 +24,11 @@
 
 use sa_bench::cli::{self, Arity, Common, Flag, Spec};
 use sa_bench::serve::MetricsServer;
-use sa_bench::{parallel_map, run_workload_traced};
+use sa_bench::{parallel_map, run_workload_traced, PINNED_LITMUS, PINNED_WORKLOADS};
 use sa_forensics::{Forensics, Summary};
 use sa_isa::ConsistencyModel;
 use sa_metrics::JsonWriter;
 use sa_sim::{Multicore, Report, SimConfig};
-
-/// Pinned suite, mirrored from `--bin perf` so the two stay comparable.
-const LITMUS: [&str; 2] = ["n6", "mp"];
-const PARALLEL: [&str; 3] = ["barnes", "radix", "x264"];
-const SPEC: [&str; 2] = ["505.mcf", "557.xz_2"];
 
 const EXTRAS: &[Flag] = &[
     Flag {
@@ -154,53 +149,46 @@ fn main() {
         name: String,
         kind: &'static str,
     }
+    let litmus = |n: &str| Entry {
+        name: n.to_string(),
+        kind: "litmus",
+    };
+    let workload = |n: &str| Entry {
+        name: n.to_string(),
+        kind: match sa_workloads::by_name(n).expect("pinned workload").suite {
+            sa_workloads::Suite::Parallel => "parallel",
+            sa_workloads::Suite::Spec => "spec",
+        },
+    };
     let litmus_sel = args.values("--litmus");
     let mut entries: Vec<Entry> = Vec::new();
     if litmus_sel.is_empty() && opts.only.is_none() {
-        for n in LITMUS {
-            entries.push(Entry {
-                name: n.to_string(),
-                kind: "litmus",
-            });
-        }
-        for n in PARALLEL.iter().chain(SPEC.iter()) {
-            entries.push(Entry {
-                name: n.to_string(),
-                kind: if SPEC.contains(n) { "spec" } else { "parallel" },
-            });
-        }
+        entries.extend(PINNED_LITMUS.map(litmus));
+        entries.extend(PINNED_WORKLOADS.map(workload));
     } else {
         for n in &litmus_sel {
-            if !LITMUS.contains(n) {
-                cli::usage_error(
-                    &SPEC_CLI,
-                    &format!("unpinned litmus test {n:?}; have: {}", LITMUS.join(", ")),
-                );
-            }
-            entries.push(Entry {
-                name: n.to_string(),
-                kind: "litmus",
-            });
-        }
-        if let Some(only) = &opts.only {
-            let kind = if SPEC.contains(&only.as_str()) {
-                "spec"
-            } else if PARALLEL.contains(&only.as_str()) {
-                "parallel"
-            } else {
+            if !PINNED_LITMUS.contains(n) {
                 cli::usage_error(
                     &SPEC_CLI,
                     &format!(
-                        "unpinned workload {only:?}; have: {}, {}",
-                        PARALLEL.join(", "),
-                        SPEC.join(", ")
+                        "unpinned litmus test {n:?}; have: {}",
+                        PINNED_LITMUS.join(", ")
                     ),
-                )
-            };
-            entries.push(Entry {
-                name: only.clone(),
-                kind,
-            });
+                );
+            }
+            entries.push(litmus(n));
+        }
+        if let Some(only) = &opts.only {
+            if !PINNED_WORKLOADS.contains(&only.as_str()) {
+                cli::usage_error(
+                    &SPEC_CLI,
+                    &format!(
+                        "unpinned workload {only:?}; have: {}",
+                        PINNED_WORKLOADS.join(", ")
+                    ),
+                );
+            }
+            entries.push(workload(only));
         }
     }
 

@@ -27,15 +27,11 @@ use std::time::Instant;
 
 use sa_bench::cli::{self, Arity, Common, Flag, Spec};
 use sa_bench::serve::MetricsServer;
-use sa_bench::{parallel_map, run_workload_profiled};
+use sa_bench::{parallel_map, pinned_suite, run_workload_profiled, PINNED_LITMUS};
 use sa_isa::ConsistencyModel;
 use sa_profile::{ProfileTree, Profiler, WallProfiler};
 use sa_sim::{Multicore, Report, SimConfig};
 use sa_trace::NullTracer;
-
-/// The pinned suite, in output order: litmus tests, then workloads.
-const LITMUS: [&str; 2] = ["n6", "mp"];
-const WORKLOADS: [&str; 5] = ["barnes", "radix", "x264", "505.mcf", "557.xz_2"];
 
 const SPEC: Spec = Spec {
     default_scale: Some(2_000),
@@ -111,8 +107,7 @@ fn main() {
         .as_deref()
         .map(|s| s.split(',').map(str::trim).collect())
         .unwrap_or_default();
-    let suite = || LITMUS.into_iter().chain(WORKLOADS);
-    if let Some(o) = only.iter().find(|&&o| !suite().any(|n| n == o)) {
+    if let Some(o) = only.iter().find(|&&o| !pinned_suite().any(|n| n == o)) {
         cli::usage_error(&SPEC, &format!("--only {o:?} is not in the pinned suite"));
     }
     let server = args.port("--serve-metrics").map(|port| {
@@ -124,7 +119,7 @@ fn main() {
         srv
     });
 
-    let cells: Vec<(&str, ConsistencyModel)> = suite()
+    let cells: Vec<(&str, ConsistencyModel)> = pinned_suite()
         .filter(|n| only.is_empty() || only.contains(n))
         .flat_map(|n| ConsistencyModel::ALL.map(|m| (n, m)))
         .collect();
@@ -135,7 +130,7 @@ fn main() {
         let label = format!("{name}/{}", model.label());
         let ((report, host_seconds), tree) = sa_profile::capture(|| {
             let start = Instant::now();
-            let report = if LITMUS.contains(&name) {
+            let report = if PINNED_LITMUS.contains(&name) {
                 run_litmus(name, model)
             } else {
                 let w = sa_workloads::by_name(name).expect("pinned workload exists");

@@ -18,9 +18,24 @@ use sa_sim::report::geomean;
 use sa_sim::{Multicore, Report, SimConfig};
 use sa_workloads::{Suite, WorkloadSpec};
 
+/// The pinned suite's litmus tests (`sa_litmus::suite` names), each run
+/// on one core per thread.
+pub const PINNED_LITMUS: [&str; 2] = ["n6", "mp"];
+
+/// The pinned suite's workloads (`sa_workloads` names), each run on its
+/// suite's core count ([`suite_cores`]).
+pub const PINNED_WORKLOADS: [&str; 5] = ["barnes", "radix", "x264", "505.mcf", "557.xz_2"];
+
+/// The pinned suite in output order, litmus tests first: the cells
+/// `perf` profiles, `forensics` analyses and `tests/pinned_stats.rs`
+/// pins, each under all five configurations.
+pub fn pinned_suite() -> impl Iterator<Item = &'static str> {
+    PINNED_LITMUS.into_iter().chain(PINNED_WORKLOADS)
+}
+
 /// The core count a workload runs on: 8 for the parallel suite, 1 for
 /// SPEC.
-pub(crate) fn suite_cores(w: &WorkloadSpec) -> usize {
+pub fn suite_cores(w: &WorkloadSpec) -> usize {
     match w.suite {
         Suite::Parallel => 8,
         Suite::Spec => 1,

@@ -269,7 +269,11 @@ pub struct MemorySystem {
     /// protocol message delivery, commit writes). A rejected issue does
     /// NOT bump its core's stamp — its only side effects (request id,
     /// reject counter) cannot flip a later attempt's outcome — which is
-    /// exactly what lets the core memoize `MshrFull` rejections.
+    /// exactly what lets the core memoize `MshrFull` rejections, and the
+    /// engine sleep a core whose ticks only book them until the stamp
+    /// moves. Only [`advance`](Self::advance) (a delivery to the core's
+    /// controller) and the core's own accepted issues and commits bump
+    /// it, so no other core's tick can.
     reject_epochs: Vec<u64>,
 }
 
@@ -383,7 +387,9 @@ impl MemorySystem {
     }
 
     /// Issues a demand load for `core`. Returns `None` when the
-    /// controller's MSHRs are exhausted (retry next cycle).
+    /// controller's MSHRs are exhausted; the core retries, and while its
+    /// [`reject_epoch`](Self::reject_epoch) stands it books each retry
+    /// with [`note_rejected_issues`](Self::note_rejected_issues) instead.
     pub fn issue_load(
         &mut self,
         core: CoreId,

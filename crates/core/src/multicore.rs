@@ -639,12 +639,8 @@ struct SpanState {
     lockstep: bool,
     /// Sampler interval in cycles (0 = off).
     interval: u64,
-    /// `active[k]`: local core `k`'s last tick made progress, so it ticks
-    /// again next cycle.
-    active: Vec<bool>,
-    /// `wake[k]`: earliest self-scheduled wakeup of sleeping local core
-    /// `k` (`None` = only a notice can wake it).
-    wake: Vec<Option<Cycle>>,
+    /// One entry per local core, in slice order.
+    slots: Vec<CoreSlot>,
     scratch: Vec<Notice>,
     /// `Some(f)` once every local core has finished; `f` is one past the
     /// cycle of the finishing tick — a shard's vote for the global
@@ -657,16 +653,40 @@ struct SpanState {
     last_retire: Cycle,
 }
 
+/// [`run_span`]'s state for one local core between its ticks.
+#[derive(Clone, Copy)]
+struct CoreSlot {
+    /// The core's last tick made progress, so it ticks again next cycle.
+    active: bool,
+    /// Earliest self-scheduled wakeup of the sleeping core (`None` =
+    /// only a notice or a reject-stamp move can wake it).
+    wake: Option<Cycle>,
+    /// Memoized MSHR rejections the core's last tick booked; each cycle
+    /// it sleeps books as many again.
+    rejects: u64,
+    /// The core's reject stamp after that tick; the core wakes when it
+    /// moves (only meaningful while `rejects > 0`).
+    stamp: u64,
+    /// First cycle whose idle bookkeeping the core has not been given.
+    idle_from: Cycle,
+}
+
 impl SpanState {
     /// Fresh state for `n` cores starting at cycle `cur`, every core
     /// due to tick.
     fn new(n: usize, cur: Cycle, lockstep: bool, interval: u64) -> SpanState {
+        let slot = CoreSlot {
+            active: true,
+            wake: None,
+            rejects: 0,
+            stamp: 0,
+            idle_from: cur,
+        };
         SpanState {
             cur,
             lockstep,
             interval,
-            active: vec![true; n],
-            wake: vec![None; n],
+            slots: vec![slot; n],
             scratch: Vec::new(),
             finished_at: None,
             samples: Vec::new(),
@@ -680,16 +700,23 @@ impl SpanState {
 /// engine runs.
 ///
 /// Each cycle pumps the memory system, then ticks each core that is due.
-/// A core whose tick made no progress is put to sleep: its remaining
-/// stall is a pure replay (the same CPI category, the same occupancies)
-/// until either a notice arrives from the memory system or its own next
-/// timed wakeup ([`Core::next_timed_wakeup`]) comes due, so those cycles
-/// are applied in bulk via [`Core::apply_idle_cycles`] instead of being
-/// simulated. When every core is asleep the loop jumps straight to the
-/// earliest cycle anything can happen: the memory system's next queued
-/// event, the earliest core wakeup, the next sampler boundary (samples
-/// must land exactly where a per-cycle loop puts them), or `bound + 1`.
-/// With `st.lockstep` no core sleeps, as in [`Multicore::step`].
+/// A core whose tick made no progress is put to sleep: its stall is a
+/// replay (the same CPI category, the same occupancies, the same
+/// memoized MSHR rejections) until a notice arrives from the memory
+/// system, its own next timed wakeup ([`Core::next_timed_wakeup`]) comes
+/// due, or, if the tick booked memoized rejections, its reject stamp
+/// ([`MemorySystem::reject_epoch`]) moves. Only a delivery to the core's
+/// controller or the core's own issue or commit moves its stamp, so no
+/// other core's tick can, and the wake lands on the cycle where a
+/// per-cycle tick would first see the change. The slept cycles are not
+/// simulated: [`catch_up`] applies them in one call when the core next
+/// ticks, at each sampler boundary (samples read cumulative counters)
+/// and when this function returns. When every core is asleep the loop
+/// jumps straight to the earliest cycle anything can happen: the memory
+/// system's next queued event, the earliest core wakeup, the next
+/// sampler boundary (samples must land exactly where a per-cycle loop
+/// puts them), or `bound + 1`. With `st.lockstep` no core sleeps, as in
+/// [`Multicore::step`].
 ///
 /// With `early_stop`, returns as soon as the last core finishes,
 /// recording `st.finished_at`.
@@ -706,8 +733,7 @@ fn run_span<T: Tracer, P: Profiler, V: ValueImage>(
         cur,
         lockstep,
         interval,
-        active,
-        wake,
+        slots,
         scratch,
         finished_at,
         samples,
@@ -721,25 +747,27 @@ fn run_span<T: Tracer, P: Profiler, V: ValueImage>(
         }
         let mut retired = 0u64;
         let mut any_active = false;
-        for (k, core) in cores.iter_mut().enumerate() {
+        for (core, slot) in cores.iter_mut().zip(slots.iter_mut()) {
             let id = core.id();
             scratch.clear();
             if mem.has_notices(id) {
                 mem.take_notices_into(id, scratch);
             }
-            let due =
-                lockstep || active[k] || !scratch.is_empty() || wake[k].is_some_and(|w| w <= *cur);
+            let due = lockstep
+                || slot.active
+                || !scratch.is_empty()
+                || slot.wake.is_some_and(|w| w <= *cur)
+                || (slot.rejects > 0 && mem.reject_epoch(id) != slot.stamp);
             if !due {
-                if !core.finished() {
-                    core.apply_idle_cycles(1);
-                }
                 continue;
             }
             if core.finished() && scratch.is_empty() {
-                active[k] = false;
-                wake[k] = None;
+                slot.active = false;
+                slot.wake = None;
+                slot.rejects = 0;
                 continue;
             }
+            catch_up(core, slot, mem, *cur);
             let mut port = PortView {
                 mem: &mut *mem,
                 core: id,
@@ -749,18 +777,21 @@ fn run_span<T: Tracer, P: Profiler, V: ValueImage>(
                 core.tick_profiled::<_, _, T, P>(*cur, &mut port, valmem, scratch, tracer)
             };
             retired += r.retired;
+            slot.idle_from = *cur + 1;
             if !lockstep {
+                slot.active = r.progress;
                 if r.progress {
-                    active[k] = true;
                     any_active = true;
                 } else {
-                    active[k] = false;
-                    wake[k] = core.next_timed_wakeup(*cur);
+                    slot.wake = core.next_timed_wakeup(*cur);
+                    slot.rejects = r.rejects;
+                    slot.stamp = mem.reject_epoch(id);
                 }
             }
         }
         *cur += 1;
         if interval != 0 && cur.is_multiple_of(interval) {
+            catch_up_all(cores, slots, mem, *cur);
             samples.push((*cur, partial_input(cores, mem)));
         }
         if retired > 0 {
@@ -768,7 +799,7 @@ fn run_span<T: Tracer, P: Profiler, V: ValueImage>(
         }
         if early_stop && cores.iter().all(Core::finished) {
             *finished_at = Some(*cur);
-            return;
+            break;
         }
         if lockstep || any_active {
             continue;
@@ -779,8 +810,8 @@ fn run_span<T: Tracer, P: Profiler, V: ValueImage>(
         if let Some(c) = mem.next_event_cycle() {
             next = next.min(c);
         }
-        for w in wake.iter().flatten() {
-            next = next.min(*w);
+        for w in slots.iter().filter_map(|s| s.wake) {
+            next = next.min(w);
         }
         next = next.min(bound + 1);
         if let Some(intervals_done) = cur.checked_div(interval) {
@@ -789,16 +820,38 @@ fn run_span<T: Tracer, P: Profiler, V: ValueImage>(
         if next <= *cur {
             continue;
         }
-        let skipped = next - *cur;
-        for c in cores.iter_mut() {
-            if !c.finished() {
-                c.apply_idle_cycles(skipped);
-            }
-        }
         *cur = next;
         if interval != 0 && cur.is_multiple_of(interval) {
+            catch_up_all(cores, slots, mem, *cur);
             samples.push((*cur, partial_input(cores, mem)));
         }
+    }
+    // Settle every sleeping core's counters before the caller reads
+    // them (`report()`, an epoch barrier, the next chunk).
+    catch_up_all(cores, slots, mem, *cur);
+}
+
+/// Gives `core` the bookkeeping of the cycles it slept through,
+/// `slot.idle_from` up to `cur`, in one call: its stall counters
+/// ([`Core::apply_idle_cycles`]) and the memoized MSHR rejections its
+/// last tick booked, once more per slept cycle. A core finishes only in
+/// its own tick, so a finished core owes nothing.
+fn catch_up(core: &mut Core, slot: &mut CoreSlot, mem: &mut MemorySystem, cur: Cycle) {
+    let n = cur - slot.idle_from;
+    slot.idle_from = cur;
+    if n == 0 || core.finished() {
+        return;
+    }
+    core.apply_idle_cycles(n);
+    if slot.rejects > 0 {
+        mem.note_rejected_issues(core.id(), slot.rejects * n);
+    }
+}
+
+/// [`catch_up`] for every core of the slice.
+fn catch_up_all(cores: &mut [Core], slots: &mut [CoreSlot], mem: &mut MemorySystem, cur: Cycle) {
+    for (core, slot) in cores.iter_mut().zip(slots.iter_mut()) {
+        catch_up(core, slot, mem, cur);
     }
 }
 

@@ -93,12 +93,19 @@ enum DispatchStall {
 #[derive(Debug, Clone, Copy)]
 pub struct TickResult {
     /// Whether any pipeline state changed beyond per-cycle bookkeeping.
-    /// A `false` tick is a pure stall: re-running it with no new memory
-    /// notices only re-accrues the same per-cycle counters, so the
+    /// A `false` tick is a stall: re-running it with no new memory
+    /// notice, no timed wakeup due ([`Core::next_timed_wakeup`]) and the
+    /// port's reject stamp unchanged only re-accrues the same per-cycle
+    /// counters and re-books the same [`rejects`](Self::rejects), so the
     /// engine may replay it in bulk via [`Core::apply_idle_cycles`].
     pub progress: bool,
     /// Instructions retired this tick.
     pub retired: u64,
+    /// MSHR rejections this tick booked from the reject memo
+    /// ([`LoadStorePort::note_rejected_issues`]) instead of issuing.
+    /// They are not progress: while the stamp stands, every further
+    /// cycle of the stall books exactly as many.
+    pub rejects: u64,
 }
 
 /// One simulated out-of-order core.
@@ -140,8 +147,10 @@ pub struct Core {
     /// empty-window refill).
     resume_was_squash: bool,
     /// Set by any phase that changes pipeline state this tick; a tick
-    /// that ends with it clear is a pure stall the engine may replay.
+    /// that ends with it clear is a stall the engine may replay.
     progress: bool,
+    /// Memoized MSHR rejections booked this tick (`TickResult::rejects`).
+    memo_rejects: u64,
     /// The stall category a no-progress tick charged its retire slots to
     /// (replayed verbatim by [`Core::apply_idle_cycles`]).
     idle_stall: Option<CpiCategory>,
@@ -172,7 +181,7 @@ pub struct Core {
     /// Per-SQ-slot memo: the stamp captured when an `issue_ownership` for
     /// this store was MSHR-rejected. An unchanged stamp means a retry
     /// would be rejected identically, so its side effects are booked via
-    /// `note_rejected_issue` without the issue path. `u64::MAX` = no
+    /// `note_rejected_issues` without the issue path. `u64::MAX` = no
     /// rejection recorded.
     sq_own_reject_stamp: Vec<u64>,
     /// Store-queue state changed since the last full [`drain_stores`]
@@ -227,6 +236,7 @@ impl Core {
             sched_start: 0,
             resume_was_squash: false,
             progress: false,
+            memo_rejects: 0,
             idle_stall: None,
             idle_gate_stall: false,
             idle_slfspec_stall: false,
@@ -328,6 +338,7 @@ impl Core {
         tracer: &mut T,
     ) -> TickResult {
         self.progress = false;
+        self.memo_rejects = 0;
         self.idle_stall = None;
         self.idle_gate_stall = false;
         self.idle_slfspec_stall = false;
@@ -373,14 +384,18 @@ impl Core {
         TickResult {
             progress: self.progress,
             retired: self.stats.retired_instrs - retired_before,
+            rejects: self.memo_rejects,
         }
     }
 
-    /// Replays `n` cycles of pure-stall bookkeeping, exactly as `n`
-    /// further ticks of the current state would have accrued it. Only
-    /// valid straight after a tick that reported no progress, and only
-    /// while no new memory notice or timed wakeup intervenes (the
-    /// engine's contract — see `Multicore::run`).
+    /// Replays `n` cycles of stall bookkeeping, exactly as `n` further
+    /// ticks of the current state would have accrued it on this core.
+    /// Only valid after a tick that reported no progress, for cycles
+    /// before any new memory notice, timed wakeup or reject-stamp move
+    /// (the engine's contract — see `Multicore::run`). The engine may
+    /// apply a whole sleep in one call, once it ends; the memoized MSHR
+    /// rejections those ticks would have booked
+    /// ([`TickResult::rejects`] per cycle) are the engine's to book.
     pub fn apply_idle_cycles(&mut self, n: u64) {
         if n == 0 {
             return;
@@ -670,8 +685,9 @@ impl Core {
             return;
         }
         // Anything that finishes, starts, or issues below clears
-        // quiescence (a rejected issue mutates the memory system every
-        // cycle, so it must replay — only a pure scan may sleep).
+        // quiescence (a rejected issue, memoized or not, mutates the
+        // memory system every cycle, so it must replay — only a pure
+        // scan may sleep).
         let mut active = false;
         let cid = self.id;
         // Finish completed commits, strictly in program order (commits
@@ -785,28 +801,31 @@ impl Core {
                     self.sq_unowned_stamp[slot] = e;
                 }
                 if no_req {
-                    // Every issue attempt counts as progress: even a
-                    // rejected one mutates the memory system (request ids,
-                    // MSHR-reject counters), so the lockstep retry cadence
-                    // must be kept.
-                    self.progress = true;
+                    // An issue attempt that reaches the memory system is
+                    // progress, accepted or rejected: a real rejection
+                    // re-arms the memo below. A memoized re-rejection is
+                    // only booked (request id, MSHR-reject counter); the
+                    // engine re-books it for each cycle the core sleeps.
                     active = true;
                     if stamp.is_some() && stamp == Some(self.sq_own_reject_stamp[slot]) {
-                        mem.note_rejected_issues(1);
-                    } else if let Some(req) = mem.issue_ownership(line, now) {
-                        self.sq.entry[slot].own_req = Some(req);
-                        self.pending_owns.insert(req, self.sq.idx_at_slot(slot));
-                        tracer.emit(|| TraceEvent {
-                            cycle: now,
-                            core: cid,
-                            kind: EventKind::MemReq {
-                                req: req.0,
-                                line: line.base(),
-                                rfo: true,
-                            },
-                        });
-                    } else if let Some(e) = stamp {
-                        self.sq_own_reject_stamp[slot] = e;
+                        self.book_memo_rejects(mem, 1);
+                    } else {
+                        self.progress = true;
+                        if let Some(req) = mem.issue_ownership(line, now) {
+                            self.sq.entry[slot].own_req = Some(req);
+                            self.pending_owns.insert(req, self.sq.idx_at_slot(slot));
+                            tracer.emit(|| TraceEvent {
+                                cycle: now,
+                                core: cid,
+                                kind: EventKind::MemReq {
+                                    req: req.0,
+                                    line: line.base(),
+                                    rfo: true,
+                                },
+                            });
+                        } else if let Some(e) = stamp {
+                            self.sq_own_reject_stamp[slot] = e;
+                        }
                     }
                 }
             }
@@ -845,12 +864,12 @@ impl Core {
             } else if let Some(e) = stamp {
                 self.sq_unowned_stamp[s] = e;
             }
-            self.progress = true; // issue attempt (see above)
             active = true;
             if stamp.is_some() && stamp == Some(self.sq_own_reject_stamp[s]) {
-                mem.note_rejected_issues(1);
+                self.book_memo_rejects(mem, 1); // not progress (see above)
                 continue;
             }
+            self.progress = true; // a real issue attempt
             if let Some(req) = mem.issue_ownership(line, now) {
                 self.sq.entry[s].own_req = Some(req);
                 self.pending_owns.insert(req, self.sq.idx_at_slot(s));
@@ -1332,9 +1351,10 @@ impl Core {
         // in the SQ/SB or the memory system). Gated on a counter so the
         // common no-blocked-loads case costs nothing. A load whose retry
         // provably re-blocks identically — LSQ epoch unchanged since it
-        // blocked, no rejected memory issue to replay, no forwarding data
-        // that just arrived — is skipped outright; a skipped retry has no
-        // side effects, so the skip is invisible to the simulation.
+        // blocked, no forwarding data that just arrived, and for an
+        // `MshrFull` load also the reject stamp unchanged — is not
+        // retried: a skipped retry has no side effects, and a memoized
+        // rejection books exactly the side effects of a real one.
         drop(sched_span);
         if self.blocked_loads > 0 {
             let _p = P::span("lsq_retry");
@@ -1355,7 +1375,9 @@ impl Core {
                 let s = slot as usize;
                 let take = match self.lq.state_at(s) {
                     // A rejected issue mutates the memory system
-                    // (request id, reject counter): replay each cycle.
+                    // (request id, reject counter) every cycle; under an
+                    // unchanged stamp it is booked from the memo, which
+                    // is not progress and uses no port.
                     LoadState::Blocked(BlockReason::MshrFull) => {
                         if load_ports == 0 {
                             break;
@@ -1389,8 +1411,7 @@ impl Core {
                     break;
                 }
                 if pending_rejects > 0 {
-                    mem.note_rejected_issues(pending_rejects);
-                    self.progress = true;
+                    self.book_memo_rejects(mem, pending_rejects);
                     pending_rejects = 0;
                 }
                 let lqi = LqIdx {
@@ -1408,8 +1429,7 @@ impl Core {
                 }
             }
             if pending_rejects > 0 {
-                mem.note_rejected_issues(pending_rejects);
-                self.progress = true;
+                self.book_memo_rejects(mem, pending_rejects);
             }
             self.blocked_scratch = blocked;
         }
@@ -1470,17 +1490,6 @@ impl Core {
         let slot = self.lq.live_slot(lqi).expect("load in LQ");
         let prev_state = self.lq.state_at(slot);
         let attempt_epoch = self.lq.entry[slot].attempt_epoch;
-        // Cheapest exit first: a memoized re-rejection needs no other
-        // column (see below) — book it before touching the rest of the
-        // entry's cache lines.
-        if prev_state == LoadState::Blocked(BlockReason::MshrFull)
-            && attempt_epoch == self.lsq_epoch
-            && mem.reject_epoch() == Some(self.lq.entry[slot].reject_stamp)
-        {
-            mem.note_rejected_issues(1);
-            self.progress = true;
-            return false;
-        }
         let id = self.lq.rob[slot];
         let pc = self.lq.entry[slot].pc;
         let addr = self.lq.entry[slot].addr;
@@ -1504,8 +1513,9 @@ impl Core {
 
         // Fast path: an `MshrFull` retry under an unchanged LSQ epoch
         // would reproduce the same fence/StoreSet/forwarding-search miss,
-        // so only the memory issue — whose rejection mutates the memory
-        // system and must replay every cycle — is re-run.
+        // so only the memory issue is re-run. (Under an unchanged reject
+        // stamp too, the retry pass books the rejection from the memo and
+        // never gets here.)
         if prev_state == LoadState::Blocked(BlockReason::MshrFull)
             && attempt_epoch == self.lsq_epoch
         {
@@ -1516,7 +1526,7 @@ impl Core {
                 }
                 None => {
                     // Same rejection: request id and reject counter
-                    // moved again.
+                    // moved again; re-arm the memo at the new stamp.
                     if let Some(e) = mem.reject_epoch() {
                         self.lq.entry[slot].reject_stamp = e;
                     }
@@ -1624,9 +1634,10 @@ impl Core {
                     true
                 }
                 None => {
-                    // The rejected issue still mutated the memory system
-                    // (request id, MSHR-reject counter): the core must
-                    // stay awake and retry every cycle, as in lockstep.
+                    // A real rejection is progress: the probe ran and the
+                    // stamp captured below arms the memo. Later retries
+                    // under that stamp are booked without the issue path
+                    // (and without progress) by the retry pass.
                     self.progress = true;
                     set_blocked(self, BlockReason::MshrFull);
                     self.lq.entry[slot].miss_passed_unresolved = passed_unresolved;
@@ -1671,6 +1682,15 @@ impl Core {
                 rfo: false,
             },
         });
+    }
+
+    /// Books `n` issues the reject memo knows to be MSHR-rejected (see
+    /// [`LoadStorePort::note_rejected_issues`]). Not progress: while the
+    /// stamp stands, each further cycle books the same count, which the
+    /// engine replays for a sleeping core ([`TickResult::rejects`]).
+    fn book_memo_rejects<M: LoadStorePort>(&mut self, mem: &mut M, n: u64) {
+        mem.note_rejected_issues(n);
+        self.memo_rejects += n;
     }
 
     // ------------------------------------------------------------------

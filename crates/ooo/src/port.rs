@@ -24,7 +24,7 @@ pub trait LoadStorePort {
     /// change that could alter the outcome of an issue attempt bumps it.
     /// While the stamp is unchanged after a rejected [`issue_load`] or
     /// [`issue_ownership`], a retry is guaranteed to be rejected again,
-    /// so the core may call [`note_rejected_issue`] instead of re-running
+    /// so the core may call [`note_rejected_issues`] instead of re-running
     /// the full issue path. An unchanged stamp likewise pins the result
     /// of [`has_ownership`] probes (ownership can only change through a
     /// stamped mutation). `None` means the port does not track one (the
@@ -33,7 +33,7 @@ pub trait LoadStorePort {
     /// [`issue_load`]: LoadStorePort::issue_load
     /// [`issue_ownership`]: LoadStorePort::issue_ownership
     /// [`has_ownership`]: LoadStorePort::has_ownership
-    /// [`note_rejected_issue`]: LoadStorePort::note_rejected_issue
+    /// [`note_rejected_issues`]: LoadStorePort::note_rejected_issues
     fn reject_epoch(&self) -> Option<u64> {
         None
     }

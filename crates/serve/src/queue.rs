@@ -5,10 +5,12 @@
 //! immediate [`PushError::Full`], which the handler surfaces as 429 so
 //! memory stays bounded no matter how hard clients push. The resident
 //! farm generator uses [`BoundedQueue::push_blocking`] instead — it
-//! *wants* to be throttled to the worker pool's pace. [`close`] starts
-//! the drain: pushes fail, pops keep returning queued items until the
-//! queue is empty, then return `None` — so every accepted job reaches a
-//! terminal status before the workers exit.
+//! *wants* to be throttled to the worker pool's pace — and blocking
+//! pushes fill at most half the queue, so a farm burst leaves the other
+//! half to interactive submissions. [`close`] starts the drain: pushes
+//! fail, pops keep returning queued items until the queue is empty, then
+//! return `None` — so every accepted job reaches a terminal status
+//! before the workers exit.
 //!
 //! [`close`]: BoundedQueue::close
 
@@ -65,11 +67,14 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocking push; waits for space. Returns `false` if the queue
-    /// closed before the item could be enqueued.
+    /// Blocking push; waits until fewer than half the capacity
+    /// (minimum 1) is queued, leaving the rest to
+    /// [`try_push`](Self::try_push). Returns `false` if the queue closed
+    /// before the item could be enqueued.
     pub fn push_blocking(&self, item: T) -> bool {
+        let limit = (self.cap / 2).max(1);
         let mut q = self.inner.lock().expect("queue lock");
-        while !q.closed && q.items.len() >= self.cap {
+        while !q.closed && q.items.len() >= limit {
             q = self.not_full.wait(q).expect("queue lock");
         }
         if q.closed {
@@ -153,6 +158,27 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert!(pusher.join().unwrap());
         assert_eq!(q.pop(), Some(2));
+    }
+
+    #[test]
+    fn blocking_push_leaves_half_to_try_push() {
+        let q = Arc::new(BoundedQueue::new(4));
+        assert!(q.push_blocking(1));
+        assert!(q.push_blocking(2));
+        let q2 = Arc::clone(&q);
+        let pusher = std::thread::spawn(move || q2.push_blocking(3));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(q.len(), 2, "blocking pushes stop at half the capacity");
+        assert_eq!(q.try_push(10), Ok(()));
+        assert_eq!(q.try_push(11), Ok(()));
+        assert_eq!(q.try_push(12), Err(PushError::Full));
+        assert_eq!(q.len(), 4);
+        for want in [1, 2, 10] {
+            assert_eq!(q.pop(), Some(want));
+        }
+        assert!(pusher.join().unwrap());
+        assert_eq!(q.pop(), Some(11));
+        assert_eq!(q.pop(), Some(3));
     }
 
     #[test]

@@ -78,40 +78,54 @@ fn litmus_outcomes_and_reports_match() {
     }
 }
 
-/// An 8-core parallel workload with a fine sampling interval: the
+/// 8-core parallel workloads with a fine sampling interval: the
 /// skipping engine must land a sample on every interval boundary the
-/// per-cycle loops do, with identical contents.
+/// per-cycle loops do, with identical contents. radix and canneal fill
+/// the MSHRs (each cell books about a million rejections), so cores
+/// sleep through memoized rejections and must wake when their reject
+/// stamp moves.
 #[test]
 fn sampler_series_identical_under_skipping() {
-    let w = sa_workloads::by_name("dedup").expect("dedup exists");
-    for model in ConsistencyModel::ALL {
-        let cfg = SimConfig::default()
-            .with_model(model)
-            .with_cores(8)
-            .with_sample_interval(64);
-        let (skip, _) = run_both(
-            cfg,
-            w.generate(8, 1_500, 99),
-            &format!("dedup under {model}"),
-        );
-        assert!(
-            !skip.report().samples.is_empty(),
-            "{model}: a 64-cycle interval must produce samples"
-        );
+    for name in ["dedup", "radix", "canneal"] {
+        let w = sa_workloads::by_name(name).expect("workload exists");
+        for model in ConsistencyModel::ALL {
+            let cfg = SimConfig::default()
+                .with_model(model)
+                .with_cores(8)
+                .with_sample_interval(64);
+            let (skip, _) = run_both(
+                cfg,
+                w.generate(8, 1_500, 99),
+                &format!("{name} under {model}"),
+            );
+            assert!(
+                !skip.report().samples.is_empty(),
+                "{name} under {model}: a 64-cycle interval must produce samples"
+            );
+        }
     }
 }
 
 /// Single-core runs (long memory stalls, the deepest skips) stay
-/// cycle-exact too.
+/// cycle-exact too. These cells must book MSHR rejections, so the
+/// memoized-rejection sleep stays covered here.
 #[test]
 fn single_core_workload_matches() {
     let w = sa_workloads::by_name("505.mcf").expect("505.mcf exists");
     for model in ConsistencyModel::ALL {
         let cfg = SimConfig::default().with_model(model).with_cores(1);
-        run_both(
+        let (skip, _) = run_both(
             cfg,
             w.generate(1, 1_000, 7),
             &format!("505.mcf under {model}"),
         );
+        let rejects: u64 = skip
+            .report()
+            .mem
+            .per_core
+            .iter()
+            .map(|c| c.mshr_rejects)
+            .sum();
+        assert!(rejects > 0, "505.mcf under {model}: no MSHR rejections");
     }
 }

@@ -1,7 +1,8 @@
-//! Exact simulated statistics of the pinned suite: two litmus tests,
-//! three parallel workloads and two SPEC workloads, each under all five
-//! consistency configurations at scale 2000, seed 42 — the cells `perf`
-//! profiles and `forensics` analyses.
+//! Exact simulated statistics of the pinned suite
+//! ([`sa_bench::pinned_suite`]: two litmus tests, three parallel
+//! workloads and two SPEC workloads), each under all five consistency
+//! configurations at scale 2000, seed 42 — the cells `perf` profiles and
+//! `forensics` analyses.
 //!
 //! Every row pins the same five numbers as `perfbench/expected`: final
 //! cycles, retired instructions, squashes, gate-closed cycles and SB
@@ -10,6 +11,7 @@
 //! intentional timing change, copy the observed rows the failure prints
 //! into [`EXPECTED`].
 
+use sa_bench::{pinned_suite, suite_cores, PINNED_LITMUS};
 use sa_isa::{ConsistencyModel, Trace};
 use sa_sim::{Multicore, SimConfig};
 
@@ -19,7 +21,7 @@ const SCALE: usize = 2_000;
 const SEED: u64 = 42;
 
 /// `cell  cycles  retired  squashes  gate_closed_cycles  sb_commits`,
-/// one row per (benchmark, configuration).
+/// one row per (benchmark, configuration), in suite order.
 const EXPECTED: &str = "\
 n6.x86                     266      5   0      0     3
 n6.370-NoSpec              289      5   1      0     3
@@ -61,18 +63,12 @@ x264.370-SLFSoS-key       4604  16001  31  12274  1574
 /// The programs of one pinned benchmark on its machine: litmus tests on
 /// one core per thread, parallel workloads on 8 cores, SPEC on 1.
 fn traces(name: &str) -> Vec<Trace> {
-    match name {
-        "n6" => sa_litmus::suite::n6().test.to_traces(),
-        "mp" => sa_litmus::suite::mp().test.to_traces(),
-        _ => {
-            let w = sa_workloads::by_name(name).expect("pinned workload exists");
-            let cores = match w.suite {
-                sa_workloads::Suite::Parallel => 8,
-                sa_workloads::Suite::Spec => 1,
-            };
-            w.generate(cores, SCALE, SEED)
-        }
+    if PINNED_LITMUS.contains(&name) {
+        let ct = sa_litmus::suite::by_name(name).expect("pinned litmus test exists");
+        return ct.test.to_traces();
     }
+    let w = sa_workloads::by_name(name).expect("pinned workload exists");
+    w.generate(suite_cores(&w), SCALE, SEED)
 }
 
 /// One cell's row, in [`EXPECTED`]'s format.
@@ -98,14 +94,24 @@ fn observe(name: &str, model: ConsistencyModel) -> String {
 
 #[test]
 fn pinned_suite_statistics_are_exact() {
-    let names = ["n6", "mp", "barnes", "radix", "x264", "505.mcf", "557.xz_2"];
-    let observed: Vec<String> = names
-        .iter()
-        .flat_map(|n| ConsistencyModel::ALL.map(|m| observe(n, m)))
+    let cells: Vec<(&str, ConsistencyModel)> = pinned_suite()
+        .flat_map(|n| ConsistencyModel::ALL.map(|m| (n, m)))
         .collect();
-    let fields = |row: &str| row.split_whitespace().map(String::from).collect::<Vec<_>>();
     let expected: Vec<&str> = EXPECTED.lines().collect();
-    assert_eq!(observed.len(), expected.len(), "one row per pinned cell");
+    let listed: Vec<String> = cells
+        .iter()
+        .map(|(n, m)| format!("{n}.{}", m.label()))
+        .collect();
+    let rows: Vec<&str> = expected
+        .iter()
+        .map(|row| row.split_whitespace().next().unwrap_or(""))
+        .collect();
+    assert_eq!(
+        rows, listed,
+        "EXPECTED holds one row per pinned cell, in order"
+    );
+    let observed: Vec<String> = cells.iter().map(|&(n, m)| observe(n, m)).collect();
+    let fields = |row: &str| row.split_whitespace().map(String::from).collect::<Vec<_>>();
     let wrong: Vec<String> = observed
         .iter()
         .zip(&expected)
